@@ -1,10 +1,12 @@
 // --instrument: self-contained runtime observability for the emitted C.
 //
 // The chain wraps every transformed scop in a timing envelope and plants a
-// per-worker tally in each parallel loop body; the snippets below supply
-// the counters and the exit-time sink. Everything is plain C with GCC
-// __atomic builtins — the output stays dependency-free, exactly like the
-// memo runtime prelude.
+// per-worker tally in each parallel loop body; the counters and the
+// exit-time sink they call are the `instrument` section of
+// runtime/c/purec_rt.h (with the `stats`, `hist` and `trace` sections it
+// builds on), which the chain embeds via emit/runtime_sections.h.
+// Everything is plain C with GCC __atomic builtins, so the output stays
+// dependency-free.
 //
 // Counter design follows the per-CPU pattern (McKenney): one cache-line-
 // padded cell per worker, bumped with a relaxed __atomic add. The hot-path
@@ -24,17 +26,6 @@
 #include "ast/stmt.h"
 
 namespace purec {
-
-/// The shared stats-stream resolver (purec_stats_out): PUREC_STATS_FILE
-/// names an append-mode destination, unset/unopenable falls back to
-/// stderr. Emitted once whenever any runtime subsystem (memo stats,
-/// --instrument) dumps at exit, so their lines share one stream and never
-/// interleave with program stdout.
-[[nodiscard]] const std::string& stats_sink_snippet();
-
-/// The counter structs, clock helpers, trace buffer and atexit dump.
-/// Requires stats_sink_snippet() earlier in the same file.
-[[nodiscard]] const std::string& instrument_runtime_snippet();
 
 /// Definition + constructor-time registration of region `index` named
 /// `name` ("function:line" of the transformed nest).

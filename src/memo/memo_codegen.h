@@ -1,6 +1,7 @@
-// Emission half of the `--memoize` subsystem: the self-contained C
-// implementation of the concurrent memo table (prepended to the output
-// like poly::codegen_prelude), and per-function thunk text.
+// Emission half of the `--memoize` subsystem: per-function thunk text.
+// The concurrent table the thunks call is the `memo` and `memo_program`
+// sections of runtime/c/purec_rt.h, which the chain embeds (see
+// emit/runtime_sections.h) — the same C the C++ runtime's MemoCache calls.
 //
 // A memoizable call site `f(a, b)` is rewritten to `purec_memo_f(a, b)`;
 // the thunk folds the argument bit patterns and the scalar global-read
@@ -10,7 +11,7 @@
 // binaries print identical checksums.
 //
 // Layout in the final C file (see run_pure_chain):
-//   [system includes]  [codegen prelude]  [memo runtime]
+//   [system includes]  [codegen prelude]  [runtime sections]
 //   [thunk prototypes] [lowered program]  [thunk definitions]
 // Prototypes precede the program (call sites inside it), definitions
 // follow it (they reference the wrapped functions and the globals).
@@ -22,11 +23,6 @@
 #include "memo/memoizable.h"
 
 namespace purec {
-
-/// The sharded seqlock table in plain C (GCC __atomic builtins, no
-/// headers beyond <stdlib.h>). Mirrors runtime/memo_cache.cpp; honors the
-/// same PUREC_MEMO_SHARDS / PUREC_MEMO_CAP knobs.
-[[nodiscard]] const std::string& memo_runtime_prelude();
 
 /// "purec_memo_" + fn. The prefix is reserved: user identifiers never
 /// collide (the mini dialect has no way to spell it accidentally without

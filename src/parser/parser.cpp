@@ -434,11 +434,15 @@ TypePtr Parser::parse_type_name() {
 TranslationUnit Parser::parse_translation_unit() {
   TranslationUnit tu;
   while (!at_end()) {
+    const std::size_t start = pos_;
     try {
       parse_top_level(tu);
     } catch (const ParseError&) {
       synchronize_to_statement_boundary();
     }
+    // Recovery stops before a depth-0 `}`; a failed item that consumed
+    // nothing must still make progress, or that token is retried forever.
+    if (pos_ == start && !at_end()) advance();
   }
   return tu;
 }

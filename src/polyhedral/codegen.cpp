@@ -782,16 +782,4 @@ StmtPtr schedule_region(const Scop& scop,
   return fission_block;
 }
 
-StmtPtr annotate_region(const Scop& scop,
-                        const std::vector<Dependence>& deps,
-                        const CodegenOptions& options,
-                        std::vector<std::size_t>* parallel_loops_out) {
-  RegionSchedule rs;
-  StmtPtr out = schedule_region(scop, deps, options, {}, &rs);
-  if (parallel_loops_out != nullptr) {
-    *parallel_loops_out = rs.parallel_loops;
-  }
-  return out;
-}
-
 }  // namespace purec::poly

@@ -113,13 +113,6 @@ struct RegionSchedule {
     const std::vector<std::string>& privatizable,
     RegionSchedule* result = nullptr);
 
-/// Back-compat wrapper: schedule_region with no privatizable scalars,
-/// returning only the pragma'd loop indices.
-[[nodiscard]] StmtPtr annotate_region(
-    const Scop& scop, const std::vector<Dependence>& deps,
-    const CodegenOptions& options,
-    std::vector<std::size_t>* parallel_loops_out = nullptr);
-
 /// Replaces occurrences of the old iterator identifiers in `stmt` with
 /// their affine replacements (exposed for the chain's call reinsertion).
 void apply_iterator_substitution(StmtPtr& stmt,

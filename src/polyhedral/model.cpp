@@ -446,7 +446,8 @@ struct ReductionMatch {
         first_is_s ? call->args[1].get() : call->args[0].get();
     if (references_identifier(*other, s)) return std::nullopt;
     m.op = ReductionOp::Call;
-    minmax_callee(name, m.op);
+    // fmin/fmax refine the op; any other pure callee stays a Call.
+    static_cast<void>(minmax_callee(name, m.op));
     m.callee = name;
     m.other = other;
     m.call_rhs = true;

@@ -1,78 +1,18 @@
 #include "runtime/memo_cache.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "runtime/stats.h"
 #include "runtime/trace.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PUREC_MEMO_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-
 namespace purec::rt {
-
-namespace {
-
-/// Ceiling on either knob: 2^24 slots (~512 MB of table) is already far
-/// beyond useful, and the clamp keeps absurd values ("-1" wraps to
-/// ULLONG_MAX through strtoull) from hanging floor_pow2 or driving the
-/// allocation into OOM territory.
-constexpr std::size_t kMaxKnob = std::size_t{1} << 24;
-
-// Shared-file header: eight 64-bit words, written by the creating process
-// under flock and validated by every attacher. The layout constants below
-// are spelled as literals because the emitted-C twin must compute the
-// identical ABI fingerprint from the identical numbers.
-constexpr std::size_t kHeaderBytes = 64;
-constexpr std::uint64_t kMagic = 0x304d454d43525550ULL;  // "PURCMEM0"
-constexpr std::uint64_t kFileVersion = 1;
-constexpr std::uint64_t kStateReady = 2;
-enum : std::size_t {
-  kHdrMagic = 0,
-  kHdrVersion = 1,
-  kHdrAbi = 2,
-  kHdrShards = 3,
-  kHdrPerShard = 4,
-  kHdrVerify = 5,
-  kHdrState = 6,
-};
-
-[[nodiscard]] std::uint64_t abi_fingerprint(bool verify) {
-  // 32-byte slots, 13-word verify stride; verify mode changes what the
-  // bytes after the slot array mean, so it is part of the ABI.
-  return MemoKey::mix(0x5043ULL ^ (32ULL << 8) ^ (13ULL << 16) ^
-                      (verify ? (1ULL << 24) : 0ULL));
-}
-
-[[nodiscard]] std::size_t floor_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p <= v / 2) p *= 2;
-  return p;
-}
-
-[[nodiscard]] std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed == 0) return fallback;
-  if (parsed > kMaxKnob) return kMaxKnob;
-  return static_cast<std::size_t>(parsed);
-}
-
-}  // namespace
 
 MemoConfig MemoConfig::from_env() {
   MemoConfig config;
-  config.shards = env_size("PUREC_MEMO_SHARDS", config.shards);
-  config.capacity = env_size("PUREC_MEMO_CAP", config.capacity);
+  config.shards = purec_memo_env("PUREC_MEMO_SHARDS", config.shards);
+  config.capacity = purec_memo_env("PUREC_MEMO_CAP", config.capacity);
   if (const char* p = std::getenv("PUREC_MEMO_PATH");
       p != nullptr && *p != '\0') {
     config.path = p;
@@ -98,139 +38,15 @@ void MemoKey::add_f32(float v) noexcept {
 }
 
 MemoCache::MemoCache(MemoConfig config) {
-  // Normalize: power-of-two shard and slot counts, at least one slot per
-  // shard. A capacity below the shard count collapses shards instead of
-  // rounding the capacity up (the knob is a *budget*).
-  std::size_t shards =
-      floor_pow2(std::min(config.shards == 0 ? 1 : config.shards, kMaxKnob));
-  std::size_t capacity =
-      std::min(config.capacity == 0 ? 1 : config.capacity, kMaxKnob);
-  if (capacity < shards) shards = floor_pow2(capacity);
-  const std::size_t per_shard = floor_pow2(capacity / shards);
-
-  shards_n_ = shards;
-  shard_mask_ = shards - 1;
-  slot_mask_ = per_shard - 1;
-  probe_window_ = kProbeWindow < per_shard ? kProbeWindow : per_shard;
-  verify_ = config.verify;
-
-  Slot* slots = nullptr;
-  std::atomic<std::uint64_t>* vwords = nullptr;
-  if (!config.path.empty()) {
-    shared_ = attach_shared(config.path, shards, per_shard, &slots, &vwords);
+  if (!purec_memo_table_init(&table_, config.shards, config.capacity,
+                             config.verify ? 1 : 0, config.path.c_str())) {
+    purec_memo_table_free(&table_);
+    throw std::bad_alloc();
   }
-  if (!shared_) {
-    slot_storage_ = std::make_unique<Slot[]>(shards * per_shard);
-    slots = slot_storage_.get();
-    if (verify_) {
-      verify_storage_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-          shards * per_shard * kVerifyStride);
-      vwords = verify_storage_.get();
-    }
-  }
-
-  shards_ = std::make_unique<Shard[]>(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_[s].slots = slots + s * per_shard;
-    if (verify_) {
-      shards_[s].vwords = vwords + s * per_shard * kVerifyStride;
-    }
-  }
+  counters_ = std::make_unique<ShardCounters[]>(shard_count());
 }
 
-MemoCache::~MemoCache() {
-#if PUREC_MEMO_HAVE_MMAP
-  if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
-  if (map_fd_ >= 0) ::close(map_fd_);
-#endif
-}
-
-bool MemoCache::attach_shared(const std::string& path, std::size_t shards,
-                              std::size_t per_shard, Slot** slots_out,
-                              std::atomic<std::uint64_t>** vwords_out) {
-#if PUREC_MEMO_HAVE_MMAP
-  const std::size_t nslots = shards * per_shard;
-  const std::size_t slots_bytes = nslots * sizeof(Slot);
-  const std::size_t verify_bytes =
-      verify_ ? nslots * kVerifyStride * sizeof(std::uint64_t) : 0;
-  const std::size_t total = kHeaderBytes + slots_bytes + verify_bytes;
-
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  // flock serializes create-vs-attach: the creator sizes and initializes
-  // the file before any attacher reads the header; a creator killed
-  // mid-init drops the lock with state != ready and attachers reject the
-  // husk. The lock is held only here — table traffic never takes it.
-  if (::flock(fd, LOCK_EX) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const auto fail = [&]() {
-    ::flock(fd, LOCK_UN);
-    ::close(fd);
-    return false;
-  };
-
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) return fail();
-  const bool fresh = st.st_size == 0;
-  if (fresh) {
-    if (::ftruncate(fd, static_cast<off_t>(total)) != 0) return fail();
-  } else if (st.st_size < 0 ||
-             static_cast<std::uint64_t>(st.st_size) != total) {
-    return fail();  // geometry/verify knobs disagree with the file
-  }
-
-  void* base = ::mmap(nullptr, total, PROT_READ | PROT_WRITE, MAP_SHARED,
-                      fd, 0);
-  if (base == MAP_FAILED) return fail();
-  auto* header = reinterpret_cast<std::atomic<std::uint64_t>*>(base);
-  if (fresh) {
-    // ftruncate zero-fills, so every slot is already empty; publish the
-    // geometry and flip the ready state last.
-    header[kHdrMagic].store(kMagic, std::memory_order_relaxed);
-    header[kHdrVersion].store(kFileVersion, std::memory_order_relaxed);
-    header[kHdrAbi].store(abi_fingerprint(verify_),
-                          std::memory_order_relaxed);
-    header[kHdrShards].store(shards, std::memory_order_relaxed);
-    header[kHdrPerShard].store(per_shard, std::memory_order_relaxed);
-    header[kHdrVerify].store(verify_ ? 1 : 0, std::memory_order_relaxed);
-    header[kHdrState].store(kStateReady, std::memory_order_release);
-  } else if (header[kHdrState].load(std::memory_order_acquire) !=
-                 kStateReady ||
-             header[kHdrMagic].load(std::memory_order_relaxed) != kMagic ||
-             header[kHdrVersion].load(std::memory_order_relaxed) !=
-                 kFileVersion ||
-             header[kHdrAbi].load(std::memory_order_relaxed) !=
-                 abi_fingerprint(verify_) ||
-             header[kHdrShards].load(std::memory_order_relaxed) != shards ||
-             header[kHdrPerShard].load(std::memory_order_relaxed) !=
-                 per_shard ||
-             header[kHdrVerify].load(std::memory_order_relaxed) !=
-                 (verify_ ? 1ULL : 0ULL)) {
-    ::munmap(base, total);
-    return fail();
-  }
-  ::flock(fd, LOCK_UN);
-
-  map_base_ = base;
-  map_len_ = total;
-  map_fd_ = fd;
-  auto* bytes = static_cast<unsigned char*>(base);
-  *slots_out = reinterpret_cast<Slot*>(bytes + kHeaderBytes);
-  *vwords_out = verify_ ? reinterpret_cast<std::atomic<std::uint64_t>*>(
-                              bytes + kHeaderBytes + slots_bytes)
-                        : nullptr;
-  return true;
-#else
-  (void)path;
-  (void)shards;
-  (void)per_shard;
-  (void)slots_out;
-  (void)vwords_out;
-  return false;
-#endif
-}
+MemoCache::~MemoCache() { purec_memo_table_free(&table_); }
 
 bool MemoCache::lookup(std::uint64_t key, const std::uint64_t* words,
                        std::size_t nwords, std::uint64_t* value) noexcept {
@@ -255,126 +71,39 @@ bool MemoCache::lookup(std::uint64_t key, const std::uint64_t* words,
 bool MemoCache::lookup_impl(std::uint64_t key, const std::uint64_t* words,
                             std::size_t nwords,
                             std::uint64_t* value) noexcept {
-  Shard& shard = shard_for(key);
-  if (verify_ && nwords > kVerifyWords) {
-    // Tuple too wide for a slot's verify record: the cache cannot prove a
-    // hit, so this call permanently misses (counted as such).
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    stats::add(stats::counters().memo_misses);
-    return false;
+  ShardCounters& counters = counters_for(key);
+  if (purec_memo_lookup(&table_, key, words,
+                        static_cast<unsigned>(nwords), value) != 0) {
+    counters.hits.fetch_add(1, std::memory_order_relaxed);
+    stats::add(stats::counters().memo_hits);
+    return true;
   }
-  for (std::size_t i = 0; i < probe_window_; ++i) {
-    const std::size_t idx = (key + i) & slot_mask_;
-    Slot& slot = shard.slots[idx];
-    const std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if ((s1 & 1) != 0) continue;  // mid-write: treat as a (safe) mismatch
-    const std::uint64_t tag = slot.tag.load(std::memory_order_relaxed);
-    const std::uint64_t val = slot.value.load(std::memory_order_relaxed);
-    bool verified = true;
-    if (verify_ && tag == key) {
-      const std::atomic<std::uint64_t>* record =
-          shard.vwords + idx * kVerifyStride;
-      verified = record[0].load(std::memory_order_relaxed) == nwords;
-      for (std::size_t w = 0; verified && w < nwords; ++w) {
-        verified = record[1 + w].load(std::memory_order_relaxed) == words[w];
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
-    if (tag == key) {
-      if (!verified) break;  // fingerprint alias: recompute, never serve it
-      *value = val;
-      slot.ref.store(1, std::memory_order_relaxed);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      stats::add(stats::counters().memo_hits);
-      return true;
-    }
-    if (tag == 0) break;  // probe window never re-opens holes past here
-  }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  counters.misses.fetch_add(1, std::memory_order_relaxed);
   stats::add(stats::counters().memo_misses);
   return false;
 }
 
 void MemoCache::store(std::uint64_t key, const std::uint64_t* words,
                       std::size_t nwords, std::uint64_t value) noexcept {
-  Shard& shard = shard_for(key);
-  if (verify_ && nwords > kVerifyWords) return;  // unverifiable: never cache
-
-  const auto publish = [&](std::size_t idx, bool evicting) {
-    Slot& slot = shard.slots[idx];
-    std::uint64_t s1 = slot.seq.load(std::memory_order_relaxed);
-    if ((s1 & 1) != 0) return false;  // another writer owns it
-    if (!slot.seq.compare_exchange_strong(s1, s1 + 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-      return false;
-    }
-    slot.tag.store(key, std::memory_order_relaxed);
-    slot.value.store(value, std::memory_order_relaxed);
-    slot.ref.store(0, std::memory_order_relaxed);
-    if (verify_) {
-      std::atomic<std::uint64_t>* record = shard.vwords + idx * kVerifyStride;
-      record[0].store(nwords, std::memory_order_relaxed);
-      for (std::size_t w = 0; w < nwords; ++w) {
-        record[1 + w].store(words[w], std::memory_order_relaxed);
-      }
-    }
-    slot.seq.store(s1 + 2, std::memory_order_release);
-    shard.stores.fetch_add(1, std::memory_order_relaxed);
-    stats::add(stats::counters().memo_stores);
-    if (evicting) {
-      shard.evictions.fetch_add(1, std::memory_order_relaxed);
-      stats::add(stats::counters().memo_evictions);
-    }
-    return true;
-  };
-
-  // Pass 1: the key may already be resident (another thread computed the
-  // same miss), or an empty slot may be free in the window.
-  for (std::size_t i = 0; i < probe_window_; ++i) {
-    const std::size_t idx = (key + i) & slot_mask_;
-    Slot& slot = shard.slots[idx];
-    const std::uint64_t tag = slot.tag.load(std::memory_order_relaxed);
-    if (tag == key) {
-      if (!verify_) return;  // deterministic value, already published
-      // Under verify a resident fingerprint alias must be replaced, or
-      // this key would miss forever. The unlocked compare is a heuristic:
-      // a racy mismatch only costs one redundant republish.
-      const std::atomic<std::uint64_t>* record =
-          shard.vwords + idx * kVerifyStride;
-      bool same = record[0].load(std::memory_order_relaxed) == nwords;
-      for (std::size_t w = 0; same && w < nwords; ++w) {
-        same = record[1 + w].load(std::memory_order_relaxed) == words[w];
-      }
-      if (same || publish(idx, /*evicting=*/true)) return;
-      continue;
-    }
-    if (tag == 0 && publish(idx, /*evicting=*/false)) return;
+  const int outcome = purec_memo_store(&table_, key, words,
+                                       static_cast<unsigned>(nwords), value);
+  if (outcome == 0) return;
+  ShardCounters& counters = counters_for(key);
+  counters.stores.fetch_add(1, std::memory_order_relaxed);
+  stats::add(stats::counters().memo_stores);
+  if (outcome == PUREC_MEMO_EVICTED) {
+    counters.evictions.fetch_add(1, std::memory_order_relaxed);
+    stats::add(stats::counters().memo_evictions);
   }
-
-  // Pass 2: full window — clock-style second chance. Clear reference
-  // bits as we sweep; the first slot already unreferenced is the victim.
-  // Everything referenced (one full sweep) -> the home slot loses.
-  for (std::size_t i = 0; i < probe_window_; ++i) {
-    const std::size_t idx = (key + i) & slot_mask_;
-    Slot& slot = shard.slots[idx];
-    if (slot.ref.exchange(0, std::memory_order_relaxed) == 0) {
-      if (publish(idx, /*evicting=*/true)) return;
-    }
-  }
-  publish(key & slot_mask_,
-          /*evicting=*/true);  // may fail under contention: benign
 }
 
 MemoStats MemoCache::stats() const noexcept {
   MemoStats total;
-  for (std::size_t s = 0; s < shards_n_; ++s) {
-    total.hits += shards_[s].hits.load(std::memory_order_relaxed);
-    total.misses += shards_[s].misses.load(std::memory_order_relaxed);
-    total.stores += shards_[s].stores.load(std::memory_order_relaxed);
-    total.evictions +=
-        shards_[s].evictions.load(std::memory_order_relaxed);
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    total.hits += counters_[s].hits.load(std::memory_order_relaxed);
+    total.misses += counters_[s].misses.load(std::memory_order_relaxed);
+    total.stores += counters_[s].stores.load(std::memory_order_relaxed);
+    total.evictions += counters_[s].evictions.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -1,22 +1,23 @@
 // Concurrent memoization table for pure-call results — the runtime half of
-// the `--memoize` subsystem (the emitted C carries a self-contained twin of
-// this design; see memo/memo_codegen.cpp).
+// the `--memoize` subsystem, as a C++ API over the C table in
+// runtime/c/purec_rt.h. The emitted C embeds that same header section, so
+// the table logic and the PUREC_MEMO_PATH file layout exist once and a
+// C++ process and an emitted binary can share one cache file.
 //
 // Design, sized for the work-stealing schedules of the thread pool:
 //   * sharded: the key's high bits pick one of N independent sub-tables,
 //     so concurrent hits on different shards never touch the same lines;
-//   * cache-line padded: each shard header (and its counters) sits on its
-//     own line — a hot shard cannot false-share with its neighbors;
+//   * cache-line padded: each shard header sits on its own line, and so
+//     do this wrapper's per-shard counters;
 //   * open addressing: a key may only live in a short linear probe window
 //     starting at its home slot, so lookups are a handful of loads;
 //   * per-slot seqlock: writers claim a slot by CAS-ing its sequence word
-//     odd, publish tag+value, then release it even. Readers retry on a
-//     torn read. A false *miss* is always safe (the caller recomputes);
-//     a hit is only reported when tag and value were read consistently;
+//     odd, publish tag+value, then release it even. A false *miss* is
+//     always safe (the caller recomputes); a hit is only reported when
+//     tag and value were read consistently;
 //   * bounded size with clock eviction: when a probe window is full, a
-//     second-chance sweep (clear reference bits until one is already
-//     clear) picks the victim, so repeated keys stay resident under
-//     pressure without any global LRU bookkeeping.
+//     second-chance sweep picks the victim, so repeated keys stay
+//     resident under pressure without any global LRU bookkeeping.
 //
 // Values are 64-bit words; scalar results travel as their bit patterns, so
 // a hit returns the exact bits the miss path stored. By default the
@@ -25,20 +26,15 @@
 // any collision at the default 2^16-slot working set. PUREC_MEMO_VERIFY=1
 // makes that bound opt-out: each slot additionally publishes the raw key
 // words (argument tuple + global snapshot) under the same seqlock and a
-// hit only counts when they compare equal — a fingerprint alias degrades
-// to a miss, never a wrong value.
+// hit only counts when they compare equal.
 //
 // Process-shared persistence: PUREC_MEMO_PATH=FILE maps the slot array
-// from an mmap'd file (ftruncate + MAP_SHARED) so a fleet of workers
-// warms one cache that survives restarts. The file starts with a 64-byte
-// header (magic, version, ABI fingerprint of the slot/verify layout,
-// geometry, verify flag, init state) validated under flock on attach; any
-// mismatch — wrong magic, different geometry knobs, a verify-mode
-// process meeting a plain file, a half-initialized file from a killed
-// creator — falls back to the private in-process table. Cross-process
-// safety is the same per-slot seqlock: a torn or stale read is a safe
-// miss. Stats counters stay per-process (each attacher counts its own
-// traffic; sum across processes for fleet totals).
+// from an mmap'd file so a fleet of workers warms one cache that survives
+// restarts. Any header mismatch (wrong magic, different geometry knobs, a
+// verify-mode process meeting a plain file, a half-initialized file from a
+// killed creator) falls back to the private in-process table. Stats
+// counters stay per-process (each attacher counts its own traffic; sum
+// across processes for fleet totals).
 //
 // Env knobs (read by MemoConfig::from_env, shared with the emitted C):
 //   PUREC_MEMO_SHARDS=<n>  shard count (rounded down to a power of two)
@@ -53,6 +49,7 @@
 #include <memory>
 #include <string>
 
+#include "runtime/c/purec_rt.h"
 #include "runtime/thread_pool.h"
 
 namespace purec::rt {
@@ -60,7 +57,7 @@ namespace purec::rt {
 struct MemoConfig {
   std::size_t shards = 8;
   std::size_t capacity = std::size_t{1} << 16;  // total slots, all shards
-  std::string path;     // non-empty: mmap the table from this file
+  std::string path{};   // non-empty: mmap the table from this file
   bool verify = false;  // full-key compare on hit
 
   /// Applies PUREC_MEMO_SHARDS / PUREC_MEMO_CAP / PUREC_MEMO_PATH /
@@ -109,10 +106,7 @@ class MemoKey {
   [[nodiscard]] std::size_t word_count() const noexcept { return nwords_; }
 
   [[nodiscard]] static std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+    return purec_memo_mix(x);
   }
 
  private:
@@ -125,7 +119,7 @@ class MemoCache {
  public:
   /// Widest key tuple (in 64-bit words) a verify-mode slot can store.
   /// Covers the classifier's bound: params + kMemoMaxGlobalSnapshot.
-  static constexpr std::size_t kVerifyWords = 12;
+  static constexpr std::size_t kVerifyWords = PUREC_MEMO_VWORDS;
 
   explicit MemoCache(MemoConfig config = MemoConfig::from_env());
   ~MemoCache();
@@ -161,40 +155,28 @@ class MemoCache {
   /// process-local, even when the slots live in a shared mapping.
   [[nodiscard]] MemoStats stats() const noexcept;
 
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_n_; }
+  [[nodiscard]] std::size_t shard_count() const noexcept {
+    return table_.shard_mask + 1;
+  }
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return shards_n_ * (slot_mask_ + 1);
+    return shard_count() * (table_.shards[0].slot_mask + 1);
   }
   /// True when the slots live in a PUREC_MEMO_PATH mapping (false after
   /// any attach failure — the private fallback).
-  [[nodiscard]] bool shared() const noexcept { return shared_; }
-  [[nodiscard]] bool verifying() const noexcept { return verify_; }
+  [[nodiscard]] bool shared() const noexcept { return table_.map != nullptr; }
+  [[nodiscard]] bool verifying() const noexcept { return table_.verify != 0; }
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};  // even = stable, odd = mid-write
-    std::atomic<std::uint64_t> tag{0};  // 0 = empty
-    std::atomic<std::uint64_t> value{0};
-    std::atomic<std::uint64_t> ref{0};  // clock second-chance bit
-  };
-  static_assert(sizeof(Slot) == 32, "shared-file ABI: 4x u64 per slot");
-
-  // Verify-mode sidecar, parallel to the slot array (so verify-off files
-  // keep the bare 32-byte-slot layout): per slot, [word count, words...],
-  // published under the owning slot's seqlock.
-  static constexpr std::size_t kVerifyStride = 1 + kVerifyWords;
-
-  struct alignas(kCacheLineBytes) Shard {
-    Slot* slots = nullptr;
-    std::atomic<std::uint64_t>* vwords = nullptr;  // verify mode only
+  /// This process's traffic through one shard, on its own cache line.
+  struct alignas(kCacheLineBytes) ShardCounters {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> stores{0};
     std::atomic<std::uint64_t> evictions{0};
   };
 
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept {
-    return shards_[(key >> 40) & shard_mask_];
+  [[nodiscard]] ShardCounters& counters_for(std::uint64_t key) noexcept {
+    return counters_[purec_memo_shard_index(&table_, key)];
   }
 
   /// The uninstrumented probe; lookup() wraps it with the latency
@@ -204,29 +186,8 @@ class MemoCache {
                                  std::size_t nwords,
                                  std::uint64_t* value) noexcept;
 
-  /// mmap `path` under flock, creating + initializing the header when the
-  /// file is fresh, validating it otherwise. On success points *slots_out
-  /// / *vwords_out into the mapping and returns true; any failure returns
-  /// false with nothing mapped (the caller allocates privately).
-  [[nodiscard]] bool attach_shared(const std::string& path,
-                                   std::size_t shards,
-                                   std::size_t per_shard, Slot** slots_out,
-                                   std::atomic<std::uint64_t>** vwords_out);
-
-  std::size_t shards_n_ = 1;
-  std::uint64_t shard_mask_ = 0;
-  std::uint64_t slot_mask_ = 0;   // per-shard slot count - 1
-  std::size_t probe_window_ = 1;  // min(kProbeWindow, slots per shard)
-  bool verify_ = false;
-  bool shared_ = false;
-  std::unique_ptr<Shard[]> shards_;
-  std::unique_ptr<Slot[]> slot_storage_;  // private mode
-  std::unique_ptr<std::atomic<std::uint64_t>[]> verify_storage_;
-  void* map_base_ = nullptr;  // shared mode
-  std::size_t map_len_ = 0;
-  int map_fd_ = -1;
-
-  static constexpr std::size_t kProbeWindow = 8;
+  purec_memo_table table_;
+  std::unique_ptr<ShardCounters[]> counters_;
 };
 
 }  // namespace purec::rt

@@ -1,7 +1,6 @@
 #include "runtime/stats.h"
 
 #include <chrono>
-#include <cstdlib>
 
 namespace purec::rt::stats {
 
@@ -33,24 +32,6 @@ HistSnapshot snapshot_hist(const HistRow* rows) noexcept {
   return snapshot;
 }
 
-std::uint64_t hist_percentile(const HistSnapshot& snapshot,
-                              unsigned percent) noexcept {
-  if (snapshot.count == 0) return 0;
-  // ceil(percent/100 * count), clamped to [1, count]: the rank of the
-  // observation the percentile names.
-  std::uint64_t target = (snapshot.count * percent + 99) / 100;
-  if (target == 0) target = 1;
-  if (target > snapshot.count) target = snapshot.count;
-  std::uint64_t cumulative = 0;
-  for (int c = 0; c < kHistCells; ++c) {
-    cumulative += snapshot.cells[c];
-    if (cumulative >= target) {
-      return hist_cell_upper(static_cast<std::size_t>(c));
-    }
-  }
-  return hist_cell_upper(kHistCells - 1);
-}
-
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -58,23 +39,8 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
-namespace {
-
-[[nodiscard]] std::FILE* stats_stream() {
-  static std::FILE* stream = [] {
-    const char* path = std::getenv("PUREC_STATS_FILE");
-    if (path != nullptr && path[0] != '\0') {
-      if (std::FILE* f = std::fopen(path, "a")) return f;
-    }
-    return stderr;
-  }();
-  return stream;
-}
-
-}  // namespace
-
 void dump(std::FILE* out) {
-  if (out == nullptr) out = stats_stream();
+  if (out == nullptr) out = purec_stats_out();
   Counters& c = counters();
   const auto get = [](const Cell& cell) {
     return static_cast<unsigned long long>(

@@ -1,16 +1,19 @@
-// purec::rt::stats — the C++ runtime's twin of the emitted-C --instrument
-// counters: region launches and wall time, per-worker chunk claims, steal
-// counts, barrier spin/park outcomes, memo cache traffic, plus
-// log-bucketed latency histograms (region wall time, memo probe latency)
-// whose p50/p90/p99 land in the human dump.
+// purec::rt::stats — counters for the C++ runtime: region launches and
+// wall time, per-worker chunk claims, steal counts, barrier spin/park
+// outcomes, memo cache traffic, plus log-bucketed latency histograms
+// (region wall time, memo probe latency) whose p50/p90/p99 land in the
+// human dump.
 //
 // Compile-time default OFF. Every hook below compiles to nothing unless
 // the translation units are built with -DPUREC_RT_STATS=1 (the
 // runtime_stats test target does exactly that), so the production runtime
 // pays zero — not "a predicted branch", zero instructions — on its hot
 // paths. When enabled, the counters follow the per-CPU pattern the
-// emitted-C side uses: one cache-line-padded cell per counter (per worker
-// for the chunk tallies), bumped with relaxed atomic adds.
+// emitted-C --instrument runtime uses: one cache-line-padded cell per
+// counter (per worker for the chunk tallies), bumped with relaxed atomic
+// adds. The histogram cells, the percentile rule and the stats stream are
+// the C functions of runtime/c/purec_rt.h that the emitted C embeds, so
+// percentiles agree across a mixed binary by construction.
 //
 // The storage and dump live in stats.cpp and are always compiled, so
 // mixed builds (instrumented test objects linking the plain runtime
@@ -21,6 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+
+#include "runtime/c/purec_rt.h"
 
 #ifndef PUREC_RT_STATS
 #define PUREC_RT_STATS 0
@@ -35,48 +40,31 @@ struct alignas(64) Cell {
   std::atomic<std::uint64_t> value{0};
 };
 
-// ---------------------------------------------------------------------------
-// Log-bucketed latency histogram (HdrHistogram-style): values below
-// 2^kHistSubBits are recorded exactly; above that, each power-of-two range
-// splits into 2^kHistSubBits linear sub-buckets, so relative error is
-// bounded at 1/2^kHistSubBits across the whole 64-bit domain. The cell
-// arrays are fixed-size and per-worker (relaxed adds on a worker's own
-// row — the per-CPU counter pattern), merged only at dump time.
-// ---------------------------------------------------------------------------
+// Log-bucketed latency histogram: the purec_hist_* cells of purec_rt.h.
+// The cell arrays are fixed-size and per-worker (relaxed adds on a
+// worker's own row — the per-CPU counter pattern), merged only at dump
+// time.
 
-inline constexpr int kHistSubBits = 3;
-inline constexpr int kHistSub = 1 << kHistSubBits;
-inline constexpr int kHistCells = (64 - kHistSubBits + 1) * kHistSub;
+inline constexpr int kHistSubBits = PUREC_HIST_SUB_BITS;
+inline constexpr int kHistSub = PUREC_HIST_SUB;
+inline constexpr int kHistCells = PUREC_HIST_CELLS;
+static_assert(kHistCells == (64 - kHistSubBits + 1) * kHistSub);
 
-/// Cell index for a recorded value. Small values map to themselves; the
-/// rest map to (exponent, sub-bucket) pairs in increasing value order.
-[[nodiscard]] constexpr std::size_t hist_index(std::uint64_t v) noexcept {
-  if (v < static_cast<std::uint64_t>(kHistSub)) {
-    return static_cast<std::size_t>(v);
-  }
-  const int msb = 63 - __builtin_clzll(v);
-  const int shift = msb - kHistSubBits;
-  return static_cast<std::size_t>(
-      ((shift + 1) << kHistSubBits) |
-      static_cast<int>((v >> shift) & (kHistSub - 1)));
+/// Cell index for a recorded value.
+[[nodiscard]] inline std::size_t hist_index(std::uint64_t v) noexcept {
+  return purec_hist_index(v);
 }
 
 /// Smallest value that lands in cell `index`.
-[[nodiscard]] constexpr std::uint64_t
+[[nodiscard]] inline std::uint64_t
 hist_cell_lower(std::size_t index) noexcept {
-  if (index < static_cast<std::size_t>(kHistSub)) return index;
-  const int shift = static_cast<int>(index >> kHistSubBits) - 1;
-  const std::uint64_t base = kHistSub + (index & (kHistSub - 1));
-  return base << shift;
+  return purec_hist_lower(static_cast<unsigned>(index));
 }
 
-/// Largest value that lands in cell `index` (percentiles report this
-/// bound, so exact-width cells report the exact recorded value).
-[[nodiscard]] constexpr std::uint64_t
+/// Largest value that lands in cell `index`.
+[[nodiscard]] inline std::uint64_t
 hist_cell_upper(std::size_t index) noexcept {
-  if (index < static_cast<std::size_t>(kHistSub)) return index;
-  const int shift = static_cast<int>(index >> kHistSubBits) - 1;
-  return hist_cell_lower(index) + ((std::uint64_t{1} << shift) - 1);
+  return purec_hist_upper(static_cast<unsigned>(index));
 }
 
 /// One worker's histogram row. A row is only ever bumped by the worker
@@ -91,11 +79,11 @@ struct HistSnapshot {
   std::uint64_t count = 0;
 };
 
-/// Value at the given integer percentile (1..100): the upper bound of the
-/// first cell whose cumulative count reaches ceil(percent/100 * count).
-/// 0 when the histogram is empty.
-[[nodiscard]] std::uint64_t hist_percentile(const HistSnapshot& snapshot,
-                                            unsigned percent) noexcept;
+/// Value at the given integer percentile (1..100); 0 when empty.
+[[nodiscard]] inline std::uint64_t hist_percentile(
+    const HistSnapshot& snapshot, unsigned percent) noexcept {
+  return purec_hist_pct(snapshot.cells, snapshot.count, percent);
+}
 
 /// The global counter block. Members mirror the emitted-C instrument
 /// runtime plus the pool/memo internals the C side cannot see.
@@ -119,8 +107,8 @@ struct Counters {
 /// The calling thread's worker index (set by the runtime while it runs
 /// chunks; 0 on threads the pool never touched). Lets subsystems without
 /// a worker parameter (memo probes, barrier waits) attribute their
-/// per-worker cells. Plain TLS — call sites gate on kEnabled (or the
-/// trace twin's gate) so production builds never touch it.
+/// per-worker cells. Plain TLS — call sites gate on kEnabled (or
+/// trace::kEnabled) so production builds never touch it.
 [[nodiscard]] std::size_t current_worker() noexcept;
 void set_current_worker(std::size_t worker) noexcept;
 
@@ -185,9 +173,8 @@ inline void record_memo_probe_ns(std::uint64_t ns) noexcept {
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 
 /// Writes the human summary (purec-rt[...] lines) to `out`; `out` ==
-/// nullptr resolves the shared stats stream: PUREC_STATS_FILE in
-/// append mode, else stderr — the same contract as the emitted C's
-/// purec_stats_out().
+/// nullptr writes to purec_stats_out(), the stream the emitted C's dumps
+/// share (PUREC_STATS_FILE in append mode, else stderr).
 void dump(std::FILE* out = nullptr);
 
 /// Zeroes every counter (test isolation).

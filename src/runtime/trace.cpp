@@ -81,40 +81,6 @@ struct Resolved {
   return "region " + std::to_string(id);
 }
 
-/// Opens `path` for a cooperative array append: a fresh/empty file starts
-/// a new array (*first = true); an existing file ending in `]` is
-/// positioned ON that bracket so the caller's leading "," overwrites it
-/// and the array keeps growing. An existing file with any other tail is
-/// treated as foreign and appended to as a fresh array (best effort —
-/// never corrupt what we do not understand).
-[[nodiscard]] std::FILE* open_cooperative(const char* path, bool* first) {
-  *first = true;
-  std::FILE* out = std::fopen(path, "r+");
-  if (out == nullptr) return std::fopen(path, "w");
-  std::fseek(out, 0, SEEK_END);
-  const long size = std::ftell(out);
-  if (size <= 0) return out;
-  char tail[8] = {};
-  const long n = size < 8 ? size : 8;
-  std::fseek(out, size - n, SEEK_SET);
-  if (std::fread(tail, 1, static_cast<std::size_t>(n), out) !=
-      static_cast<std::size_t>(n)) {
-    std::fseek(out, 0, SEEK_END);
-    return out;
-  }
-  for (long k = n - 1; k >= 0; --k) {
-    const char ch = tail[k];
-    if (ch == ']') {
-      std::fseek(out, size - n + k, SEEK_SET);
-      *first = false;
-      return out;
-    }
-    if (ch != ' ' && ch != '\n' && ch != '\r' && ch != '\t') break;
-  }
-  std::fseek(out, 0, SEEK_END);
-  return out;
-}
-
 struct EventShape {
   const char* name;
   const char* cat;
@@ -209,7 +175,7 @@ void write_all(std::FILE* out, State& s, bool first) {
   } else {
     std::fputc('[', out);
   }
-  // Metadata: name the runtime twin's process and every worker lane that
+  // Metadata: name the C++ runtime's process and every worker lane that
   // recorded events, so chrome://tracing shows labels instead of tids.
   std::fprintf(out,
                "%s{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
@@ -269,10 +235,10 @@ void dump() {
     }
   }
   if (!any) return;
-  bool first = true;
-  std::FILE* out = open_cooperative(s.path.c_str(), &first);
+  int first = 1;
+  std::FILE* out = purec_trace_open(s.path.c_str(), &first);
   if (out == nullptr) return;
-  write_all(out, s, first);
+  write_all(out, s, first != 0);
   std::fclose(out);
   reset();
 }

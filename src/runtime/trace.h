@@ -1,5 +1,6 @@
-// purec::rt::trace — per-chunk event streaming from the C++ runtime, the
-// twin of the emitted-C --instrument Chrome trace writer.
+// purec::rt::trace — per-chunk event streaming from the C++ runtime into
+// the same Chrome trace-event file the emitted-C --instrument runtime
+// writes.
 //
 // Compile-time default OFF, exactly like purec::rt::stats: every hook
 // below is an if-constexpr over kEnabled, so the production runtime pays
@@ -18,11 +19,12 @@
 // counted, not stored, and the dump emits the dropped count.
 //
 // The dump writes the same Chrome trace-event schema as the emitted-C
-// instrument runtime — a JSON array of event objects, cooperatively
-// appended (see dump()) so that a mixed binary (runtime twin + emitted
-// --instrument C) pointing PUREC_RT_TRACE and PUREC_TRACE at one path
-// produces a single Chrome-loadable timeline: emitted-C regions on pid 1,
-// runtime workers on pid 2, metadata ("M") events naming both.
+// instrument runtime — a JSON array of event objects — and opens its path
+// with purec_trace_open() from runtime/c/purec_rt.h, the cooperative
+// append the emitted C uses too (see dump()). So a mixed binary pointing
+// PUREC_RT_TRACE and PUREC_TRACE at one path produces a single
+// Chrome-loadable timeline: emitted-C regions on pid 1, runtime workers
+// on pid 2, metadata ("M") events naming both.
 //
 // The storage and dump live in trace.cpp and are always compiled, so
 // mixed builds (traced test objects linking the plain runtime archive)
@@ -48,7 +50,7 @@ inline constexpr std::size_t kMaxWorkers = stats::kMaxWorkers;
 inline constexpr std::size_t kRingCapacity = 4096;
 /// Region names registerable via set_region_name.
 inline constexpr std::size_t kMaxRegionNames = 256;
-/// The runtime twin's pid in the merged timeline (the emitted-C
+/// The C++ runtime's pid in the merged timeline (the emitted-C
 /// instrument runtime is pid 1).
 inline constexpr int kTracePid = 2;
 

@@ -6,6 +6,7 @@
 #include "ast/walk.h"
 #include "emit/c_printer.h"
 #include "emit/instrument.h"
+#include "emit/runtime_sections.h"
 #include "lexer/lexer.h"
 #include "memo/memo_codegen.h"
 #include "parser/parser.h"
@@ -1095,11 +1096,6 @@ ChainArtifacts run_pure_chain(const std::string& source,
   const std::string lowered =
       print_c(tu, PrintOptions{PureHandling::Lower, 2});
   std::vector<std::string> extra;
-  const auto add_include = [&extra](const char* include) {
-    if (std::find(extra.begin(), extra.end(), include) == extra.end()) {
-      extra.push_back(include);
-    }
-  };
   bool uses_omp = false;
   for (const ScopReport& r : artifacts.scops) {
     if (r.parallelized) uses_omp = true;
@@ -1113,21 +1109,19 @@ ChainArtifacts run_pure_chain(const std::string& source,
     // Both exit-time dumps (memo counters, instrument summaries) resolve
     // their destination through one purec_stats_out(), emitted first so
     // either runtime can reference it.
-    prelude += stats_sink_snippet();
+    prelude += runtime_section("stats");
   }
   if (!memo_used.empty()) {
     // Table + prototypes before the program (call sites reference the
     // thunks), definitions after it (they reference the wrapped functions
-    // and the snapshot globals). stdio feeds the PUREC_MEMO_STATS atexit
-    // dump.
-    add_include("#include <stdlib.h>");
-    add_include("#include <stdio.h>");
+    // and the snapshot globals).
     if (options.memoize_verify) {
-      // Flips the compiled-in default inside the prelude; the
+      // Flips the compiled-in default inside memo_program; the
       // PUREC_MEMO_VERIFY env knob still overrides either way.
       prelude += "#define PUREC_MEMO_VERIFY_DEFAULT 1\n";
     }
-    prelude += memo_runtime_prelude();
+    prelude += runtime_section("memo");
+    prelude += runtime_section("memo_program");
     for (const std::string& name : memo_used) {
       prelude +=
           memo_thunk_prototype(artifacts.memoization.functions.at(name));
@@ -1140,10 +1134,9 @@ ChainArtifacts run_pure_chain(const std::string& source,
   if (instrumented) {
     // Counter runtime + one region struct per instrumented nest; the
     // wrapped nests in `lowered` reference these by name.
-    add_include("#include <stdlib.h>");
-    add_include("#include <stdio.h>");
-    add_include("#include <time.h>");
-    prelude += instrument_runtime_snippet();
+    prelude += runtime_section("hist");
+    prelude += runtime_section("trace");
+    prelude += runtime_section("instrument");
     for (std::size_t i = 0; i < artifacts.instrumented_regions.size();
          ++i) {
       prelude += instrument_region_definition(

@@ -476,7 +476,9 @@ TEST(Chain, LiveOutScalarIsNotPrivatized) {
   std::size_t outer = a.final_source.find("for (int i");
   std::size_t pragma = a.final_source.find("#pragma omp");
   ASSERT_NE(outer, std::string::npos);
-  if (pragma != std::string::npos) EXPECT_GT(pragma, outer);
+  if (pragma != std::string::npos) {
+    EXPECT_GT(pragma, outer);
+  }
 }
 
 TEST(Chain, IteratorReadAfterNestDegradesToSerial) {

@@ -1,8 +1,6 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <omp.h>
-#include <stdlib.h>
-#include <stdio.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -10,420 +8,9 @@
 #define purec_max(a, b) (((a) > (b)) ? (a) : (b))
 #define purec_min(a, b) (((a) < (b)) ? (a) : (b))
 #endif
-
-/* Shared stats stream: every exit-time dump (memo counters, --instrument
- * region summaries) resolves its destination here, so the lines land on
- * one stream and never interleave with program stdout. PUREC_STATS_FILE
- * names an append-mode file; unset or unopenable falls back to stderr. */
-static FILE* purec_stats_out(void) {
-  static FILE* purec_stats_stream;
-  const char* purec_stats_path;
-  if (purec_stats_stream != 0) return purec_stats_stream;
-  purec_stats_path = getenv("PUREC_STATS_FILE");
-  if (purec_stats_path != 0 && purec_stats_path[0] != 0) {
-    purec_stats_stream = fopen(purec_stats_path, "a");
-  }
-  if (purec_stats_stream == 0) purec_stats_stream = stderr;
-  return purec_stats_stream;
-}
-#ifndef PUREC_MEMO_RUNTIME
-#define PUREC_MEMO_RUNTIME
-/* Concurrent memoization table for pure-call results: sharded,
- * cache-line padded, open addressing within an 8-slot probe window,
- * per-slot seqlock publication (a torn read is a safe miss), clock
- * second-chance eviction when a window fills. Knobs: PUREC_MEMO_SHARDS,
- * PUREC_MEMO_CAP (total slots), PUREC_MEMO_STATS=1 (per-thunk
- * hit/miss/eviction counters dumped at exit to the shared stats stream —
- * PUREC_STATS_FILE or stderr, see purec_stats_out(); counters are dead
- * branches when the knob is off), PUREC_MEMO_PATH=FILE (map the slot
- * array from an mmap'd file so concurrent processes share one cache that
- * persists across restarts; a 64-byte header — magic, version, ABI
- * fingerprint, geometry, verify flag, ready state — is validated under
- * flock on attach and any mismatch falls back to the private in-process
- * table), PUREC_MEMO_VERIFY=1 (store the raw key words next to each slot
- * and compare them on a hit, so a fingerprint alias degrades to a miss
- * instead of a wrong value; --memoize=verify flips the compiled-in
- * default). Cross-process safety is the same per-slot seqlock: torn or
- * stale reads are safe misses, and the stats counters stay per-process. */
-#ifndef PUREC_MEMO_VERIFY_DEFAULT
-#define PUREC_MEMO_VERIFY_DEFAULT 0
-#endif
-#if defined(__unix__) || defined(__APPLE__)
-#define PUREC_MEMO_MMAP 1
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
-typedef unsigned long long purec_memo_word;
-typedef union { float v; unsigned int b; } purec_memo_f32;
-typedef union { double v; purec_memo_word b; } purec_memo_f64;
-
-/* Widest key tuple (in 64-bit words) a verify record can hold; wider
- * tuples bypass the cache under verify (a permanent, safe miss). */
-#define PUREC_MEMO_VWORDS 12u
-
-typedef struct {
-  const char* name;
-  purec_memo_word hits, misses, evictions;
-} purec_memo_stats_entry;
-
-static purec_memo_stats_entry* purec_memo_stats_tables[64];
-static unsigned purec_memo_stats_count;
-static unsigned purec_memo_stats_dropped;
-static int purec_memo_stats_on; /* PUREC_MEMO_STATS=1 */
-
-static void purec_memo_stats_dump(void) {
-  unsigned i;
-  if (purec_memo_stats_dropped != 0)
-    fprintf(purec_stats_out(),
-            "purec-memo: %u thunk counter(s) not shown (registry full)\n",
-            purec_memo_stats_dropped);
-  for (i = 0; i < purec_memo_stats_count; i++) {
-    purec_memo_stats_entry* e = purec_memo_stats_tables[i];
-    fprintf(purec_stats_out(),
-            "purec-memo[%s] hits=%llu misses=%llu evictions=%llu\n",
-            e->name,
-            (unsigned long long)__atomic_load_n(&e->hits,
-                                                __ATOMIC_RELAXED),
-            (unsigned long long)__atomic_load_n(&e->misses,
-                                                __ATOMIC_RELAXED),
-            (unsigned long long)__atomic_load_n(&e->evictions,
-                                                __ATOMIC_RELAXED));
-  }
-}
-
-/* Thunk registrars run as constructors too; registration is
- * unconditional (the env gate lives on the counting and the dump) so
- * constructor order cannot drop a table. */
-static void purec_memo_stats_register(purec_memo_stats_entry* e) {
-  if (purec_memo_stats_count <
-      sizeof(purec_memo_stats_tables) / sizeof(purec_memo_stats_tables[0]))
-    purec_memo_stats_tables[purec_memo_stats_count++] = e;
-  else
-    purec_memo_stats_dropped++;
-}
-
-#define PUREC_MEMO_STAT_INC(counter)                                   \
-  do {                                                                 \
-    if (purec_memo_stats_on)                                           \
-      __atomic_fetch_add((counter), 1ULL, __ATOMIC_RELAXED);           \
-  } while (0)
-
-typedef struct {
-  purec_memo_word seq;   /* even = stable, odd = mid-write */
-  purec_memo_word tag;   /* key fingerprint; 0 = empty */
-  purec_memo_word value;
-  purec_memo_word ref;   /* clock second-chance bit */
-} purec_memo_slot;
-
-typedef struct {
-  purec_memo_slot* slots;
-  purec_memo_word* vwords; /* verify mode: [count, words...] per slot */
-  purec_memo_word slot_mask;
-  char pad[64 - sizeof(purec_memo_slot*) - sizeof(purec_memo_word*) -
-           sizeof(purec_memo_word)];
-} purec_memo_shard;
-
-static purec_memo_shard* purec_memo_shards;
-static purec_memo_word purec_memo_shard_mask;
-static unsigned purec_memo_probe = 8u;
-static int purec_memo_verify; /* compare raw key words on hit */
-static int purec_memo_ready;  /* 0 until init allocates successfully */
-
-static purec_memo_word purec_memo_mix(purec_memo_word x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/* Knob ceiling: 2^24 slots. Clamping keeps absurd values ("-1" wraps to
- * ULLONG_MAX through strtoull) from hanging the pow2 loop or OOM-ing. */
-static purec_memo_word purec_memo_env(const char* name,
-                                      purec_memo_word fallback) {
-  const char* v = getenv(name);
-  char* end;
-  unsigned long long parsed;
-  if (v == 0 || *v == 0) return fallback;
-  parsed = strtoull(v, &end, 10);
-  if (*end != 0 || parsed == 0) return fallback;
-  return parsed > (1ULL << 24) ? (1ULL << 24) : parsed;
-}
-
-static purec_memo_word purec_memo_pow2(purec_memo_word v) {
-  purec_memo_word p = 1;
-  while (p <= v / 2) p *= 2;
-  return p;
-}
-
-#ifdef PUREC_MEMO_MMAP
-/* Map the slot array (and verify sidecar) from `path`. flock serializes
- * create-vs-attach: the creator sizes the file and publishes the header
- * before any attacher reads it; a creator killed mid-init leaves state
- * != 2 and attachers reject the husk. Returns 0 on any mismatch so the
- * caller falls back to the private table. The mapping and fd live for
- * the process lifetime. */
-static int purec_memo_attach(const char* path, purec_memo_word shards,
-                             purec_memo_word per, int verify,
-                             purec_memo_slot** slots_out,
-                             purec_memo_word** vwords_out) {
-  purec_memo_word nslots = shards * per;
-  size_t slots_bytes = (size_t)nslots * sizeof(purec_memo_slot);
-  size_t vbytes = verify
-      ? (size_t)nslots * (1u + PUREC_MEMO_VWORDS) * sizeof(purec_memo_word)
-      : 0;
-  size_t total = 64 + slots_bytes + vbytes;
-  /* ABI fingerprint over the slot/verify layout; the same literals are
-   * mixed by the C++ runtime twin so both sides can share one file. */
-  purec_memo_word abi =
-      purec_memo_mix(0x5043ULL ^ (32ULL << 8) ^ (13ULL << 16) ^
-                     (verify ? (1ULL << 24) : 0ULL));
-  struct stat st;
-  unsigned char* base;
-  purec_memo_word* h;
-  int fresh;
-  int fd = open(path, O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd < 0) return 0;
-  if (flock(fd, LOCK_EX) != 0) {
-    close(fd);
-    return 0;
-  }
-  if (fstat(fd, &st) != 0) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  fresh = st.st_size == 0;
-  if (fresh ? ftruncate(fd, (off_t)total) != 0
-            : (st.st_size < 0 || (purec_memo_word)st.st_size != total)) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  base = (unsigned char*)mmap(0, total, PROT_READ | PROT_WRITE, MAP_SHARED,
-                              fd, 0);
-  if (base == MAP_FAILED) {
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  h = (purec_memo_word*)base;
-  if (fresh) {
-    /* ftruncate zero-fills, so every slot is already empty. */
-    h[0] = 0x304d454d43525550ULL; /* "PURCMEM0" */
-    h[1] = 1;                     /* file format version */
-    h[2] = abi;
-    h[3] = shards;
-    h[4] = per;
-    h[5] = verify ? 1 : 0;
-    __atomic_store_n(&h[6], 2ULL, __ATOMIC_RELEASE); /* ready */
-  } else if (__atomic_load_n(&h[6], __ATOMIC_ACQUIRE) != 2ULL ||
-             h[0] != 0x304d454d43525550ULL || h[1] != 1 || h[2] != abi ||
-             h[3] != shards || h[4] != per ||
-             h[5] != (purec_memo_word)(verify ? 1 : 0)) {
-    munmap(base, total);
-    flock(fd, LOCK_UN);
-    close(fd);
-    return 0;
-  }
-  flock(fd, LOCK_UN);
-  *slots_out = (purec_memo_slot*)(base + 64);
-  *vwords_out = verify ? (purec_memo_word*)(base + 64 + slots_bytes) : 0;
-  return 1;
-}
-#endif
-
-__attribute__((constructor)) static void purec_memo_init(void) {
-  purec_memo_word shards =
-      purec_memo_pow2(purec_memo_env("PUREC_MEMO_SHARDS", 8));
-  purec_memo_word cap = purec_memo_env("PUREC_MEMO_CAP", 65536);
-  purec_memo_word per, s, nslots;
-  purec_memo_slot* slots = 0;
-  purec_memo_word* vwords = 0;
-  int shared = 0;
-  const char* stats = getenv("PUREC_MEMO_STATS");
-  const char* verify = getenv("PUREC_MEMO_VERIFY");
-  const char* path = getenv("PUREC_MEMO_PATH");
-  purec_memo_stats_on = stats != 0 && stats[0] == '1';
-  purec_memo_verify =
-      verify != 0 ? verify[0] == '1' : PUREC_MEMO_VERIFY_DEFAULT;
-  if (purec_memo_stats_on) atexit(purec_memo_stats_dump);
-  if (cap < shards) shards = purec_memo_pow2(cap);
-  per = purec_memo_pow2(cap / shards);
-  nslots = shards * per;
-#ifdef PUREC_MEMO_MMAP
-  if (path != 0 && path[0] != 0)
-    shared = purec_memo_attach(path, shards, per, purec_memo_verify,
-                               &slots, &vwords);
-#else
-  (void)path;
-#endif
-  if (!shared) {
-    slots = (purec_memo_slot*)calloc(nslots, sizeof(purec_memo_slot));
-    if (slots == 0) return; /* no table: every call computes */
-    if (purec_memo_verify) {
-      vwords = (purec_memo_word*)calloc(
-          (size_t)nslots * (1u + PUREC_MEMO_VWORDS),
-          sizeof(purec_memo_word));
-      if (vwords == 0) return;
-    }
-  }
-  purec_memo_shards =
-      (purec_memo_shard*)calloc(shards, sizeof(purec_memo_shard));
-  if (purec_memo_shards == 0) return;
-  for (s = 0; s < shards; s++) {
-    purec_memo_shards[s].slots = slots + s * per;
-    purec_memo_shards[s].vwords =
-        purec_memo_verify ? vwords + s * per * (1u + PUREC_MEMO_VWORDS) : 0;
-    purec_memo_shards[s].slot_mask = per - 1;
-  }
-  purec_memo_shard_mask = shards - 1;
-  if (purec_memo_probe > per) purec_memo_probe = (unsigned)per;
-  purec_memo_ready = 1;
-}
-
-static int purec_memo_lookup(purec_memo_word key,
-                             const purec_memo_word* kw, unsigned kn,
-                             purec_memo_word* value) {
-  purec_memo_shard* sh;
-  unsigned i, w;
-  if (!purec_memo_ready) return 0;
-  if (purec_memo_verify && kn > PUREC_MEMO_VWORDS) return 0; /* too wide */
-  sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    purec_memo_word s1 = __atomic_load_n(&s->seq, __ATOMIC_ACQUIRE);
-    purec_memo_word tag, val;
-    int verified = 1;
-    if (s1 & 1u) continue;
-    tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    val = __atomic_load_n(&s->value, __ATOMIC_RELAXED);
-    if (purec_memo_verify && tag == key) {
-      const purec_memo_word* rec =
-          sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-      verified = __atomic_load_n(&rec[0], __ATOMIC_RELAXED) == kn;
-      for (w = 0; verified && w < kn; w++)
-        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_RELAXED) == kw[w];
-    }
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
-    if (__atomic_load_n(&s->seq, __ATOMIC_RELAXED) != s1) continue;
-    if (tag == key) {
-      if (!verified) return 0; /* fingerprint alias: recompute */
-      *value = val;
-      __atomic_store_n(&s->ref, 1, __ATOMIC_RELAXED);
-      return 1;
-    }
-    if (tag == 0) return 0;
-  }
-  return 0;
-}
-
-static int purec_memo_claim(purec_memo_shard* sh, purec_memo_word idx,
-                            purec_memo_word key, purec_memo_word value,
-                            const purec_memo_word* kw, unsigned kn) {
-  purec_memo_slot* s = &sh->slots[idx];
-  purec_memo_word s1 = __atomic_load_n(&s->seq, __ATOMIC_RELAXED);
-  unsigned w;
-  if (s1 & 1u) return 0;
-  if (!__atomic_compare_exchange_n(&s->seq, &s1, s1 + 1, 0,
-                                   __ATOMIC_ACQUIRE, __ATOMIC_RELAXED))
-    return 0;
-  __atomic_store_n(&s->tag, key, __ATOMIC_RELAXED);
-  __atomic_store_n(&s->value, value, __ATOMIC_RELAXED);
-  __atomic_store_n(&s->ref, 0, __ATOMIC_RELAXED);
-  if (purec_memo_verify) {
-    purec_memo_word* rec = sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-    __atomic_store_n(&rec[0], (purec_memo_word)kn, __ATOMIC_RELAXED);
-    for (w = 0; w < kn; w++)
-      __atomic_store_n(&rec[1 + w], kw[w], __ATOMIC_RELAXED);
-  }
-  __atomic_store_n(&s->seq, s1 + 2, __ATOMIC_RELEASE);
-  return 1;
-}
-
-/* Returns 1 when the store displaced a live entry (an eviction), 0 for
- * fresh/duplicate/failed stores — the stats counters want the split. */
-static int purec_memo_store(purec_memo_word key, const purec_memo_word* kw,
-                            unsigned kn, purec_memo_word value) {
-  purec_memo_shard* sh;
-  unsigned i, w;
-  purec_memo_word old_tag;
-  if (!purec_memo_ready) return 0;
-  if (purec_memo_verify && kn > PUREC_MEMO_VWORDS) return 0;
-  sh = &purec_memo_shards[(key >> 40) & purec_memo_shard_mask];
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    purec_memo_word tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (tag == key) {
-      int same;
-      if (!purec_memo_verify) return 0; /* resident value is identical */
-      /* Under verify a resident fingerprint alias must be replaced or
-       * this key would miss forever; the unlocked compare only risks one
-       * redundant republish. */
-      {
-        const purec_memo_word* rec =
-            sh->vwords + idx * (1u + PUREC_MEMO_VWORDS);
-        same = __atomic_load_n(&rec[0], __ATOMIC_RELAXED) == kn;
-        for (w = 0; same && w < kn; w++)
-          same = __atomic_load_n(&rec[1 + w], __ATOMIC_RELAXED) == kw[w];
-      }
-      if (same) return 0;
-      if (purec_memo_claim(sh, idx, key, value, kw, kn)) return 1;
-      continue;
-    }
-    if (tag == 0 && purec_memo_claim(sh, idx, key, value, kw, kn)) return 0;
-  }
-  for (i = 0; i < purec_memo_probe; i++) {
-    purec_memo_word idx = (key + i) & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    if (__atomic_exchange_n(&s->ref, 0, __ATOMIC_RELAXED) != 0) continue;
-    old_tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (purec_memo_claim(sh, idx, key, value, kw, kn))
-      return old_tag != 0 && old_tag != key;
-  }
-  {
-    purec_memo_word idx = key & sh->slot_mask;
-    purec_memo_slot* s = &sh->slots[idx];
-    old_tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    if (purec_memo_claim(sh, idx, key, value, kw, kn))
-      return old_tag != 0 && old_tag != key;
-  }
-  return 0;
-}
-
-#define PUREC_MEMO_KEY_F32(k, kw, n, x)                                \
-  do {                                                                 \
-    purec_memo_f32 purec_u;                                            \
-    purec_u.v = (x);                                                   \
-    (kw)[(n)] = (purec_memo_word)purec_u.b;                            \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
-#define PUREC_MEMO_KEY_F64(k, kw, n, x)                                \
-  do {                                                                 \
-    purec_memo_f64 purec_u;                                            \
-    purec_u.v = (x);                                                   \
-    (kw)[(n)] = purec_u.b;                                             \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
-#define PUREC_MEMO_KEY_INT(k, kw, n, x)                                \
-  do {                                                                 \
-    (kw)[(n)] = (purec_memo_word)(x);                                  \
-    (k) = purec_memo_mix((k) ^ (kw)[(n)]);                             \
-    (n)++;                                                             \
-  } while (0)
-#define PUREC_MEMO_PACK_F32(x) \
-  ((purec_memo_word)((purec_memo_f32){(x)}).b)
-#define PUREC_MEMO_PACK_F64(x) ((purec_memo_f64){(x)}).b
-#define PUREC_MEMO_UNPACK_F32(w) \
-  (((purec_memo_f32){.b = (unsigned int)(w)}).v)
-#define PUREC_MEMO_UNPACK_F64(w) (((purec_memo_f64){.b = (w)}).v)
-#endif
+/* purec-rt:stats fnv64=6eb42b62d8c6f3ec */
+/* purec-rt:memo fnv64=067d8f3d6f5dc157 */
+/* purec-rt:memo_program fnv64=acc5b559c19d6c28 */
 static float purec_memo_shade(int purec_a0);
 float gain;
 float shade(int v)
@@ -488,13 +75,13 @@ static float purec_memo_shade(int purec_a0) {
   PUREC_MEMO_KEY_F32(purec_key, purec_kw, purec_kn, gain);
   purec_key = purec_memo_mix(purec_key);
   if (purec_key == 0) purec_key = 1;
-  if (purec_memo_lookup(purec_key, purec_kw, purec_kn, &purec_word)) {
+  if (purec_memo_lookup(&purec_memo_tab, purec_key, purec_kw, purec_kn, &purec_word)) {
     PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.hits);
     return PUREC_MEMO_UNPACK_F32(purec_word);
   }
   PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.misses);
   purec_result = shade(purec_a0);
-  if (purec_memo_store(purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result)))
+  if (purec_memo_store(&purec_memo_tab, purec_key, purec_kw, purec_kn, PUREC_MEMO_PACK_F32(purec_result)) == PUREC_MEMO_EVICTED)
     PUREC_MEMO_STAT_INC(&purec_memo_stats_shade.evictions);
   return purec_result;
 }

@@ -5,7 +5,9 @@
 // on/off × --inline-pure on/off):
 //
 //   1. Golden: the emitted C is byte-compared against a checked-in file
-//      under tests/e2e/golden/. Regenerate with PUREC_UPDATE_GOLDEN=1.
+//      under tests/e2e/golden/, with each embedded runtime section folded
+//      to one hash line (pin_runtime_sections). Regenerate with
+//      PUREC_UPDATE_GOLDEN=1.
 //   2. Differential: runnable fixtures are compiled with the host gcc
 //      (-fopenmp; skipped when gcc is unavailable) in a serial reference
 //      configuration and in every parallel configuration, and the printed
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -90,6 +93,42 @@ std::string chain_source_of(const Fixture& fixture) {
 std::string golden_path(const Fixture& fixture, const Config& config) {
   return std::string(PUREC_REPO_DIR) + "/tests/e2e/golden/" + fixture.name +
          "__" + config.name + ".c";
+}
+
+/// Replaces each embedded runtime section (the text from its
+/// `/* purec-rt:begin NAME */` line through its `/* purec-rt:end NAME */`
+/// line) with one line carrying the section's FNV-1a 64 hash. Goldens
+/// then pin the thunks and the lowered program verbatim and the runtime
+/// by hash: any change to the runtime text still fails, as a one-line
+/// diff, instead of re-pinning the runtime in every memo golden.
+std::string pin_runtime_sections(const std::string& source) {
+  const std::string begin = "/* purec-rt:begin ";
+  std::string out;
+  std::size_t at = 0;
+  for (;;) {
+    const std::size_t start = source.find(begin, at);
+    if (start == std::string::npos) break;
+    const std::size_t name_end = source.find(" */", start);
+    const std::string name =
+        source.substr(start + begin.size(), name_end - start - begin.size());
+    const std::string end_marker = "/* purec-rt:end " + name + " */\n";
+    const std::size_t end = source.find(end_marker, name_end);
+    if (end == std::string::npos) break;
+    const std::size_t stop = end + end_marker.size();
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::size_t i = start; i < stop; ++i) {
+      hash ^= static_cast<unsigned char>(source[i]);
+      hash *= 0x100000001b3ULL;
+    }
+    char line[80];
+    std::snprintf(line, sizeof(line), "/* purec-rt:%s fnv64=%016llx */\n",
+                  name.c_str(), static_cast<unsigned long long>(hash));
+    out.append(source, at, start - at);
+    out += line;
+    at = stop;
+  }
+  out.append(source, at, std::string::npos);
+  return out;
 }
 
 bool update_golden() {
@@ -190,17 +229,18 @@ TEST_P(E2EChainTest, GoldenEmittedC) {
     ASSERT_FALSE(artifacts.final_source.empty());
 
     const std::string path = golden_path(fixture, config);
+    const std::string pinned = pin_runtime_sections(artifacts.final_source);
     if (update_golden()) {
       std::ofstream out(path);
       ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << artifacts.final_source;
+      out << pinned;
       continue;
     }
     const std::string golden = read_file(path);
     ASSERT_FALSE(golden.empty())
         << "missing golden " << path
         << " — regenerate with PUREC_UPDATE_GOLDEN=1 ctest -R e2e";
-    EXPECT_EQ(artifacts.final_source, golden)
+    EXPECT_EQ(pinned, golden)
         << "emitted C drifted from " << path
         << " — if intentional, regenerate with PUREC_UPDATE_GOLDEN=1";
   }

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "emit/c_printer.h"
+#include "emit/runtime_sections.h"
 #include "parser/parser.h"
 #include "support/diagnostics.h"
+#include "test_sources.h"
+#include "transform/pure_chain.h"
+
+#ifndef PUREC_REPO_DIR
+#error "build must define PUREC_REPO_DIR (the repository root)"
+#endif
 
 namespace purec {
 namespace {
@@ -135,6 +145,46 @@ TEST(Emit, FormatDeclarationHelper) {
   EXPECT_EQ(format_declaration(t, "a", PureHandling::Keep), "pure float* a");
   EXPECT_EQ(format_declaration(t, "a", PureHandling::Lower),
             "const float* a");
+}
+
+// ---------------------------------------------------------------------------
+// The embedded runtime: sections of src/runtime/c/purec_rt.h
+// ---------------------------------------------------------------------------
+
+constexpr const char* kRuntimeSections[] = {
+    "stats", "hist", "trace", "memo", "memo_program", "instrument"};
+
+TEST(RuntimeSections, EmbeddedTextIsTheHeaderBytes) {
+  std::ifstream in(std::string(PUREC_REPO_DIR) + "/src/runtime/c/purec_rt.h");
+  ASSERT_TRUE(in.good());
+  std::ostringstream header;
+  header << in.rdbuf();
+  EXPECT_EQ(runtime_header_text(), header.str());
+  for (const char* name : kRuntimeSections) {
+    SCOPED_TRACE(name);
+    const std::string& section = runtime_section(name);
+    const std::string begin = "/* purec-rt:begin " + std::string(name);
+    EXPECT_EQ(section.rfind(begin, 0), 0u);
+    EXPECT_NE(header.str().find(section), std::string::npos);
+  }
+  EXPECT_TRUE(runtime_section("no_such_section").empty());
+}
+
+TEST(RuntimeSections, EmittedProgramCarriesEachSectionVerbatim) {
+  ChainOptions options;
+  options.memoize = true;
+  options.memoize_all = true;
+  options.instrument = true;
+  const ChainArtifacts artifacts = run_pure_chain(testsrc::kMatmul, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  for (const char* name : kRuntimeSections) {
+    SCOPED_TRACE(name);
+    const std::string& section = runtime_section(name);
+    const std::size_t at = artifacts.final_source.find(section);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(artifacts.final_source.find(section, at + 1), std::string::npos)
+        << "section embedded twice";
+  }
 }
 
 }  // namespace

@@ -485,6 +485,96 @@ TEST(MemoCacheShared, ForkedVerifyModeStaysExact) {
   std::remove(path.c_str());
 }
 
+/// Compiles `source` with gcc -fopenmp into `bin`; false (with the
+/// compiler output recorded) when gcc is missing or fails.
+bool compile_c(const std::string& source, const std::string& bin) {
+  const std::string c_path = bin + ".c";
+  std::FILE* out = std::fopen(c_path.c_str(), "w");
+  if (out == nullptr) return false;
+  std::fputs(source.c_str(), out);
+  std::fclose(out);
+  const std::string cmd =
+      "gcc -O2 -fopenmp -o '" + bin + "' '" + c_path + "' -lm 2>&1";
+  return std::system(cmd.c_str()) == 0;
+}
+
+/// The memoized pure function of kCrossLanguageProgram, computed in C++.
+double cross_language_curve(int v, double scale) {
+  const double x = static_cast<double>(v) * 0.5 + 3.0;
+  double y = x;
+  for (int k = 0; k < 8; k++) y = 0.5 * (y + x / y);
+  return y * scale;
+}
+
+constexpr const char* kCrossLanguageProgram = R"(
+#include <stdio.h>
+
+double scale;
+
+pure double curve(int v) {
+  double x = (double)v * 0.5 + 3.0;
+  double y = x;
+  for (int k = 0; k < 8; k++)
+    y = 0.5 * (y + x / y);
+  return y * scale;
+}
+
+int main() {
+  double sum = 0.0;
+  scale = 0.75;
+  for (int i = 0; i < 256; i++) sum += curve(i % 32);
+  printf("checksum %.6f\n", sum);
+  return 0;
+}
+)";
+
+TEST(MemoCacheShared, CppCacheServesWhatAnEmittedBinaryStored) {
+  // One table implementation, two languages: an emitted --memoize binary
+  // warms a PUREC_MEMO_PATH file, then a C++ MemoCache with the default
+  // geometry attaches it and must serve every key the binary stored,
+  // with the bits the C++ side computes for that call.
+  if (std::system("gcc --version > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "no system gcc";
+  }
+  ChainOptions options;
+  options.memoize = true;
+  options.memoize_all = true;
+  const ChainArtifacts artifacts =
+      run_pure_chain(kCrossLanguageProgram, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  ASSERT_EQ(artifacts.memoization.memoizable,
+            (std::set<std::string>{"curve"}));
+  const std::string bin = shared_cache_path("emitted") + ".bin";
+  ASSERT_TRUE(compile_c(artifacts.final_source, bin));
+  const std::string path = shared_cache_path("cross");
+  std::remove(path.c_str());
+  const std::string run = "env -u PUREC_MEMO_SHARDS -u PUREC_MEMO_CAP "
+                          "-u PUREC_MEMO_VERIFY PUREC_MEMO_PATH='" +
+                          path + "' '" + bin + "' > /dev/null";
+  ASSERT_EQ(std::system(run.c_str()), 0);
+
+  MemoConfig config;  // the emitted table's defaults: 8 shards, 2^16 slots
+  config.path = path;
+  MemoCache cache(config);
+  ASSERT_TRUE(cache.shared()) << "the C++ side must attach, not fall back";
+  const double scale = 0.75;
+  for (int v = 0; v < 32; ++v) {
+    MemoKey key(memo_function_id("curve"));
+    key.add(static_cast<std::uint64_t>(v));  // the thunk's int argument
+    key.add_f64(scale);                      // the global snapshot
+    std::uint64_t bits = 0;
+    ASSERT_TRUE(cache.lookup(key.hash(), &bits)) << "v=" << v;
+    const double expected = cross_language_curve(v, scale);
+    std::uint64_t expected_bits = 0;
+    std::memcpy(&expected_bits, &expected, sizeof(expected_bits));
+    EXPECT_EQ(bits, expected_bits) << "v=" << v;
+  }
+  EXPECT_EQ(cache.stats().hits, 32u);
+  std::remove(path.c_str());
+  std::remove(bin.c_str());
+  std::remove((bin + ".c").c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Memoizability analysis
 // ---------------------------------------------------------------------------
@@ -850,7 +940,7 @@ TEST(MemoChain, MemoizeAllRewritesCallSitesAndEmitsRuntime) {
   EXPECT_EQ(artifacts.memoization.memoizable,
             (std::set<std::string>{"mult"}));
   EXPECT_GE(artifacts.memoized_calls, 1u);
-  EXPECT_NE(artifacts.final_source.find("PUREC_MEMO_RUNTIME"),
+  EXPECT_NE(artifacts.final_source.find("/* purec-rt:begin memo */"),
             std::string::npos);
   EXPECT_NE(artifacts.final_source.find("purec_memo_mult("),
             std::string::npos);

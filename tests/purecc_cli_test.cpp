@@ -305,7 +305,7 @@ TEST_F(PureccCliTest, MemoizeCostGatesTrivialLeavesByDefault) {
   const RunResult r =
       run_purecc("--memoize --report " + shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_EQ(r.output.find("PUREC_MEMO_RUNTIME"), std::string::npos)
+  EXPECT_EQ(r.output.find("/* purec-rt:begin memo */"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("cost gate"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("memoized 0 call site(s)"), std::string::npos)
@@ -319,7 +319,7 @@ TEST_F(PureccCliTest, MemoizeAllRewritesCallSitesAndReports) {
   const RunResult r =
       run_purecc("--memoize=all --report " + shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("PUREC_MEMO_RUNTIME"), std::string::npos)
+  EXPECT_NE(r.output.find("/* purec-rt:begin memo */"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("purec_memo_twice("), std::string::npos)
       << r.output;

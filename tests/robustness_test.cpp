@@ -20,6 +20,17 @@ TEST(Robustness, GarbageInputReportsParserErrors) {
   EXPECT_GT(a.diagnostics.error_count(), 0u);
 }
 
+TEST(Robustness, StrayClosingBracesReportedNotHung) {
+  // Recovery stops before a depth-0 `}`; the top level must still consume
+  // it, or the parser retries the same token forever.
+  for (const char* source : {"}", "}}", "int x; }\nint y;"}) {
+    SCOPED_TRACE(source);
+    ChainArtifacts a = run_pure_chain(source);
+    EXPECT_FALSE(a.ok);
+    EXPECT_GT(a.diagnostics.error_count(), 0u);
+  }
+}
+
 TEST(Robustness, UnterminatedCommentReported) {
   ChainArtifacts a = run_pure_chain("int x; /* never closed");
   EXPECT_FALSE(a.ok);
