@@ -1,5 +1,7 @@
 #include "emit/instrument.h"
 
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@ namespace purec {
 namespace {
 
 constexpr const char* kParallelForPrefix = "#pragma omp parallel for";
+constexpr const char* kCollapseClause = " collapse(";
 
 [[nodiscard]] ExprPtr make_ident(std::string name) {
   return std::make_unique<IdentExpr>(std::move(name));
@@ -32,23 +35,37 @@ constexpr const char* kParallelForPrefix = "#pragma omp parallel for";
       make_call("purec_instr_chunk", std::move(args)));
 }
 
+/// Loops the pragma's `collapse(k)` clause covers (1 when it has none).
+[[nodiscard]] std::size_t collapse_depth(const std::string& pragma) {
+  const std::size_t at = pragma.find(kCollapseClause);
+  if (at == std::string::npos) return 1;
+  return std::strtoul(pragma.c_str() + at + std::strlen(kCollapseClause),
+                      nullptr, 10);
+}
+
 /// Plants the chunk tally at the top of the body of every loop that sits
-/// directly under a `#pragma omp parallel for` sibling: each outer
-/// iteration a worker claims bumps its padded cell exactly once, so the
-/// per-worker totals read back the scheduler's actual work split.
+/// directly under a `#pragma omp parallel for` sibling — under
+/// `collapse(k)`, in the body of the k-th collapsed loop, since the loops
+/// above it must stay perfectly nested: each iteration (tuple) a worker
+/// claims bumps its padded cell exactly once, so the per-worker totals
+/// read back the scheduler's actual work split.
 void add_chunk_tallies(Stmt& s, const std::string& region) {
   std::function<void(Stmt&)> visit = [&](Stmt& node) {
     if (auto* block = stmt_cast<CompoundStmt>(&node)) {
-      bool after_parallel_pragma = false;
+      std::size_t parallel_depth = 0;  // 0 = not under a parallel pragma
       for (StmtPtr& child : block->stmts) {
         auto* pragma = stmt_cast<PragmaStmt>(child.get());
         if (pragma != nullptr) {
-          after_parallel_pragma =
-              pragma->text.rfind(kParallelForPrefix, 0) == 0;
+          parallel_depth = pragma->text.rfind(kParallelForPrefix, 0) == 0
+                               ? collapse_depth(pragma->text)
+                               : 0;
           continue;
         }
         auto* loop = stmt_cast<ForStmt>(child.get());
-        if (after_parallel_pragma && loop != nullptr && loop->body) {
+        for (std::size_t k = 1; loop != nullptr && k < parallel_depth; ++k) {
+          loop = stmt_cast<ForStmt>(loop->body.get());
+        }
+        if (parallel_depth > 0 && loop != nullptr && loop->body) {
           auto* body = stmt_cast<CompoundStmt>(loop->body.get());
           if (body == nullptr) {
             auto wrapped = std::make_unique<CompoundStmt>();
@@ -59,7 +76,7 @@ void add_chunk_tallies(Stmt& s, const std::string& region) {
           body->stmts.insert(body->stmts.begin(),
                              make_chunk_tally(region));
         }
-        after_parallel_pragma = false;
+        parallel_depth = 0;
         visit(*child);
       }
       return;

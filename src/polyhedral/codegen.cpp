@@ -213,6 +213,21 @@ namespace {
   return out;
 }
 
+/// The one place an OpenMP pragma's text is composed: `directive`, then
+/// the non-empty clauses in a fixed order — collapse (only when `collapse`
+/// covers at least two loops), schedule, reduction, private.
+[[nodiscard]] StmtPtr omp_pragma(const char* directive, std::size_t collapse,
+                                 const std::string& schedule,
+                                 const std::string& reduction,
+                                 const std::string& privates) {
+  std::string text = directive;
+  if (collapse >= 2) text += " collapse(" + std::to_string(collapse) + ")";
+  for (const std::string* clause : {&schedule, &reduction, &privates}) {
+    if (!clause->empty()) text += " " + *clause;
+  }
+  return std::make_unique<PragmaStmt>(std::move(text));
+}
+
 [[nodiscard]] bool couples_iterators(const ConstraintSystem& domain,
                                      std::size_t d) {
   for (const Constraint& c : domain.constraints()) {
@@ -241,7 +256,7 @@ bool domain_is_imbalanced(const Scop& scop) {
 
 StmtPtr generate_code(const Scop& scop, const Transform& transform,
                       const CodegenOptions& options,
-                      IteratorSubstitution* substitution_out) {
+                      CodegenResult* result_out) {
   const std::size_t d = scop.depth();
   const std::size_t p = scop.parameters.size();
   const IntMat& T = transform.matrix;
@@ -341,7 +356,6 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   substitution.names = names;
   substitution.iterator_replacement = replacement;
   substitution.iterator_constant = constants;
-  if (substitution_out != nullptr) *substitution_out = substitution;
 
   auto body = std::make_unique<CompoundStmt>();
   for (const ScopStatement& stmt : scop.statements) {
@@ -411,17 +425,13 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
                              std::move(upper), std::move(current));
     auto wrapper = std::make_unique<CompoundStmt>();
     if (k == simd_dim && k != 0) {
-      std::string text = "#pragma omp simd";
-      if (!reduction_clause.empty()) text += " " + reduction_clause;
-      if (!private_clause.empty()) text += " " + private_clause;
-      wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
+      wrapper->stmts.push_back(omp_pragma("#pragma omp simd", 1, "",
+                                          reduction_clause, private_clause));
     }
     if (k == inner_parallel_point && k != 0) {
-      std::string text = "#pragma omp parallel for";
-      if (!schedule_clause.empty()) text += " " + schedule_clause;
-      if (!reduction_clause.empty()) text += " " + reduction_clause;
-      if (!private_clause.empty()) text += " " + private_clause;
-      wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
+      wrapper->stmts.push_back(
+          omp_pragma("#pragma omp parallel for", 1, schedule_clause,
+                     reduction_clause, private_clause));
     }
     if (wrapper->stmts.empty()) {
       current = std::move(loop);
@@ -439,17 +449,41 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
                         std::move(current));
   }
 
+  // Collapse the leading tile loops t1t..tkt when each is parallel (in a
+  // permutable band: every dependence has distance 0 there, so tile
+  // tuples are independent) and the tile space is rectangular up to it
+  // (no bound of tile loop m refers to an earlier tile variable). A
+  // short outermost tile loop then no longer caps the nest's parallelism.
+  std::size_t collapse = 1;
+  if (parallel_outermost) {
+    const auto rectangular = [&](std::size_t m) {
+      const auto independent = [&](const VarBound& b) {
+        return std::all_of(b.coeffs.begin(), b.coeffs.begin() + m,
+                           [](std::int64_t c) { return c == 0; });
+      };
+      return std::all_of(bounds[m].lower.begin(), bounds[m].lower.end(),
+                         independent) &&
+             std::all_of(bounds[m].upper.begin(), bounds[m].upper.end(),
+                         independent);
+    };
+    std::size_t k = 1;
+    while (k < tiled_dims && transform.parallel[k] && rectangular(k)) ++k;
+    if (k >= 2) collapse = k;
+  }
+
   auto result = std::make_unique<CompoundStmt>();
   if (options.parallelize &&
       (parallel_outermost ||
        (inner_parallel_point == 0 && tiled_dims == 0))) {
-    std::string text = "#pragma omp parallel for";
-    if (!schedule_clause.empty()) text += " " + schedule_clause;
-    if (!reduction_clause.empty()) text += " " + reduction_clause;
-    if (!private_clause.empty()) text += " " + private_clause;
-    result->stmts.push_back(std::make_unique<PragmaStmt>(text));
+    result->stmts.push_back(
+        omp_pragma("#pragma omp parallel for", collapse, schedule_clause,
+                   reduction_clause, private_clause));
   }
   result->stmts.push_back(std::move(current));
+  if (result_out != nullptr) {
+    result_out->substitution = std::move(substitution);
+    result_out->collapse = collapse;
+  }
   return result;
 }
 
@@ -701,20 +735,13 @@ StmtPtr schedule_region(const Scop& scop,
           }
           auto wrapper = std::make_unique<CompoundStmt>();
           if (simd[index]) {
-            std::string text = "#pragma omp simd";
-            const std::string red = reduction_for_loop(index);
-            if (!red.empty()) text += " " + red;
-            wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
+            wrapper->stmts.push_back(omp_pragma(
+                "#pragma omp simd", 1, "", reduction_for_loop(index), ""));
           }
           if (selected[index]) {
-            std::string text = "#pragma omp parallel for";
-            const std::string sched = clause_for_loop(index);
-            if (!sched.empty()) text += " " + sched;
-            const std::string red = reduction_for_loop(index);
-            if (!red.empty()) text += " " + red;
-            const std::string pc = private_for_loop(index);
-            if (!pc.empty()) text += " " + pc;
-            wrapper->stmts.push_back(std::make_unique<PragmaStmt>(text));
+            wrapper->stmts.push_back(omp_pragma(
+                "#pragma omp parallel for", 1, clause_for_loop(index),
+                reduction_for_loop(index), private_for_loop(index)));
           }
           wrapper->stmts.push_back(std::move(slot));
           slot = std::move(wrapper);

@@ -1,8 +1,9 @@
 // Loop code generation for a transformed scop (the CLooG counterpart):
 // produces a new AST loop nest scanning the transformed domain, with
 // rectangular tiling of the permutable band, `floord`/`ceild`/min/max
-// bounds, OpenMP pragma on the outermost parallel loop, and (SICA mode) a
-// SIMD pragma on the innermost parallel loop.
+// bounds, OpenMP pragma on the outermost parallel loop (collapsing the
+// leading parallel tile loops of a rectangular tile space), and (SICA
+// mode) a SIMD pragma on the innermost parallel loop.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +60,15 @@ struct IteratorSubstitution {
   std::vector<std::int64_t> iterator_constant;
 };
 
+/// What generate_code decided besides the nest itself, for the chain.
+struct CodegenResult {
+  IteratorSubstitution substitution;
+  /// Loops the parallel pragma's `collapse(k)` clause covers: the leading
+  /// tile loops of a tiled band when each is parallel and the tile space
+  /// is rectangular up to it. 1 = no collapse clause.
+  std::size_t collapse = 1;
+};
+
 /// Generates the transformed loop nest. The returned compound statement
 /// contains the pragmas and loops and is a drop-in replacement for the
 /// scop's original outermost ForStmt. Returns nullptr when bounds cannot
@@ -66,8 +76,7 @@ struct IteratorSubstitution {
 [[nodiscard]] StmtPtr generate_code(const Scop& scop,
                                     const Transform& transform,
                                     const CodegenOptions& options,
-                                    IteratorSubstitution* substitution_out =
-                                        nullptr);
+                                    CodegenResult* result_out = nullptr);
 
 /// What schedule_region decided, for the chain's report.
 struct RegionSchedule {

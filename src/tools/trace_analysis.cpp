@@ -63,6 +63,7 @@ void join_report(const json::Value& report, TraceSummary* summary) {
       region.in_report = true;
       region.parallelized = find_bool(scop, "parallelized");
       region.schedule_clause = find_string(scop, "schedule_clause");
+      region.collapse = find_int(scop, "collapse", 1);
       std::string decisions;
       if (find_bool(scop, "tiled")) decisions += " tiled";
       if (find_bool(scop, "fissioned")) {
@@ -297,6 +298,9 @@ std::string render_trace_summary(const TraceSummary& s) {
       out += "purecc-trace:   schedule: ";
       out += region.schedule_clause.empty() ? "default"
                                             : region.schedule_clause;
+      if (region.collapse > 1) {
+        out += " collapse(" + std::to_string(region.collapse) + ")";
+      }
       out += region.parallelized ? " (parallelized" : " (serial";
       out += region.decisions;
       out += ")\n";

@@ -45,6 +45,7 @@ struct RegionTrace {
   bool in_report = false;
   bool parallelized = false;
   std::string schedule_clause;  ///< "" = implementation default
+  std::int64_t collapse = 1;    ///< collapse(k) loops; 1 (or pre-v5) = none
   std::string decisions;        ///< compact "fission=2g/1p fused=1 ..." tail
 };
 

@@ -53,7 +53,9 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
   // v4: memoization.functions[] entries carry the cost-model trail —
   // cost_nodes plus the --memoize-profile decision (hits/misses/score) —
   // and options echoes memoize_verify / memoize_profile.
-  report.set("report_version", 4);
+  // v5: scops[] entries carry collapse, the loop count of the parallel
+  // pragma's collapse clause (1 when not collapsed).
+  report.set("report_version", 5);
   report.set("ok", artifacts.ok);
 
   json::Value opts = json::Value::object();
@@ -113,6 +115,7 @@ json::Value build_chain_report(const ChainArtifacts& artifacts,
     entry.set("schedule_clause",
               r.schedule_clause.empty() ? json::Value(nullptr)
                                         : json::Value(r.schedule_clause));
+    entry.set("collapse", static_cast<std::int64_t>(r.collapse));
     entry.set("tiled", r.tiled);
     entry.set("skewed", r.skewed);
     entry.set("fissioned", r.fissioned);

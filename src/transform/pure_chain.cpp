@@ -934,13 +934,16 @@ ChainArtifacts run_pure_chain(const std::string& source,
         report.skewed = !transform.is_identity();
         scop_iterators = scop.iterators;
 
-        generated = poly::generate_code(scop, transform, cg, &iter_subst);
+        poly::CodegenResult codegen;
+        generated = poly::generate_code(scop, transform, cg, &codegen);
+        iter_subst = std::move(codegen.substitution);
         if (generated) {
           report.parallelized =
               options.parallelize && transform.any_parallel();
           if (report.parallelized) {
             report.parallel_loops = 1;
             report.privatized = priv0;
+            report.collapse = codegen.collapse;
           }
           report.tiled = options.tile && transform.band_size >= 2 &&
                          options.tile_size > 1;

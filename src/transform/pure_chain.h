@@ -137,6 +137,9 @@ struct ScopReport {
   /// default): the user's --schedule spec, or the imbalanced-domain
   /// guided fallback codegen chooses (support/omp_schedule.h).
   std::string schedule_clause;
+  /// Loops the parallel pragma collapses (`collapse(k)` over the leading
+  /// tile loops of a rectangular, fully parallel tile space); 1 = none.
+  std::size_t collapse = 1;
   /// Recognized (surviving) reductions as "op:accumulator" — e.g.
   /// "+:sum", "min:lo"; user combiners as "callee:acc". These are the
   /// statements whose accumulator self-dependence was exempted (plus

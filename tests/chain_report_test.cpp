@@ -131,7 +131,7 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
     const json::Value report = build_chain_report(artifacts, options);
     ASSERT_EQ(report.kind(), json::Value::Kind::Object);
     EXPECT_EQ(report.find("tool")->as_string(), "purecc");
-    EXPECT_EQ(report.find("report_version")->as_int(), 4);
+    EXPECT_EQ(report.find("report_version")->as_int(), 5);
     EXPECT_TRUE(report.find("ok")->as_bool());
 
     // Options echo: every chain knob must be stated.
@@ -184,6 +184,14 @@ TEST(ChainReportSchema, EveryAcceptedFixtureCarriesTheFullDecisionTrail) {
       // v3: the region id join key is always stated (null when the scop
       // was not instrumented).
       ASSERT_NE(scop.find("region_id"), nullptr) << where;
+      // v5: the collapse depth is always stated; only a parallel tiled
+      // band collapses (its leading tile loops).
+      ASSERT_NE(scop.find("collapse"), nullptr) << where;
+      EXPECT_GE(scop.find("collapse")->as_int(), 1) << where;
+      if (scop.find("collapse")->as_int() > 1) {
+        EXPECT_TRUE(scop.find("parallelized")->as_bool()) << where;
+        EXPECT_TRUE(scop.find("tiled")->as_bool()) << where;
+      }
       const json::Value* privatized = scop.find("privatized");
       ASSERT_NE(privatized, nullptr) << where;
       ASSERT_NE(privatized->as_array(), nullptr) << where;

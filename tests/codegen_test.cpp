@@ -509,6 +509,175 @@ TEST(Codegen, MinReductionClauseInSicaMode) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// collapse(k) over the leading parallel tile loops
+// ---------------------------------------------------------------------------
+
+/// The generated nest's text plus the collapse depth codegen reported.
+struct Collapsed {
+  std::string text;
+  std::size_t collapse = 0;
+};
+
+Collapsed generate_collapsed(const std::string& src,
+                             const CodegenOptions& options) {
+  Prepared p = prepare(src);
+  CodegenResult result;
+  StmtPtr generated = generate_code(p.scop, p.transform, options, &result);
+  EXPECT_NE(generated, nullptr) << src;
+  if (generated == nullptr) return {};
+  return {print_c(*generated), result.collapse};
+}
+
+TEST(CodegenCollapse, RectangularParallel2DTiledBandCollapsesTwo) {
+  const Collapsed c = generate_collapsed(
+      "float** C;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      C[i][j] = C[i][j] * 2.0f;\n"
+      "}\n",
+      tiled(8));
+  EXPECT_EQ(c.collapse, 2u);
+  // The clause sits on the outermost tile loop, which the next loop
+  // header (t2t) follows directly: the pair stays perfectly nested.
+  const std::size_t pragma =
+      c.text.find("#pragma omp parallel for collapse(2)\n");
+  ASSERT_NE(pragma, std::string::npos) << c.text;
+  EXPECT_LT(pragma, c.text.find("for (int t1t")) << c.text;
+  EXPECT_EQ(c.text.find("collapse(3)"), std::string::npos) << c.text;
+}
+
+TEST(CodegenCollapse, RectangularParallel3DTiledBandCollapsesThree) {
+  const Collapsed c = generate_collapsed(
+      "float*** V;\n"
+      "void k(int n, int m, int l) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      for (int q = 0; q < l; q++)\n"
+      "        V[i][j][q] = V[i][j][q] + 1.0f;\n"
+      "}\n",
+      tiled(8));
+  EXPECT_EQ(c.collapse, 3u);
+  EXPECT_NE(c.text.find("#pragma omp parallel for collapse(3)\n"),
+            std::string::npos)
+      << c.text;
+}
+
+TEST(CodegenCollapse, CollapsedTiledBandIsEquivalent) {
+  expect_equivalent(
+      "float** C;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      C[i][j] = C[i][j] * 2.0f + 1.0f;\n"
+      "}\n",
+      tiled(4), {{"n", 9}, {"m", 14}}, {{"C", {9, 14}}});
+}
+
+TEST(CodegenCollapse, ColumnCarriedDependenceKeepsOneLoop) {
+  // Rows are independent (dim 0 parallel) but a[i][j] reads a[i][j-1]:
+  // collapsing t2t would run one row's tiles on several threads.
+  Prepared p = prepare(
+      "float** a; float** b;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 1; j < m; j++)\n"
+      "      a[i][j] = a[i][j - 1] + b[i][j];\n"
+      "}\n");
+  ASSERT_TRUE(p.transform.parallel[0]);
+  ASSERT_FALSE(p.transform.parallel[1]);
+  ASSERT_GE(p.transform.band_size, 2u);
+  CodegenResult result;
+  StmtPtr generated = generate_code(p.scop, p.transform, tiled(8), &result);
+  ASSERT_NE(generated, nullptr);
+  const std::string text = print_c(*generated);
+  EXPECT_EQ(result.collapse, 1u);
+  EXPECT_NE(text.find("#pragma omp parallel for\n"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("collapse"), std::string::npos) << text;
+}
+
+TEST(CodegenCollapse, TriangularTileSpaceKeepsGuidedOnOneLoop) {
+  // t2t's upper bound refers to t1t: the tile space is not rectangular.
+  const Collapsed c = generate_collapsed(
+      "float** L;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j <= i; j++)\n"
+      "      L[i][j] = 1.0f;\n"
+      "}\n",
+      tiled(8));
+  EXPECT_EQ(c.collapse, 1u);
+  EXPECT_NE(c.text.find("#pragma omp parallel for schedule(guided,4)\n"),
+            std::string::npos)
+      << c.text;
+  EXPECT_EQ(c.text.find("collapse"), std::string::npos) << c.text;
+}
+
+TEST(CodegenCollapse, SkewedStencilAndUntiledBandsStayUncollapsed) {
+  // Skewed time stencil: no parallel tile loop; the pragma sits on the
+  // inner point loop.
+  const Collapsed skewed = generate_collapsed(
+      "void k(float** a, float** b, int steps, int n) {\n"
+      "  for (int t = 0; t < steps; t++)\n"
+      "    for (int i = 1; i < n - 1; i++)\n"
+      "      a[t + 1][i] = 0.33f * (a[t][i - 1] + a[t][i] + a[t][i + 1]);\n"
+      "}\n",
+      tiled(8));
+  EXPECT_EQ(skewed.collapse, 1u);
+  const std::size_t inner = skewed.text.find("#pragma omp parallel for\n");
+  ASSERT_NE(inner, std::string::npos) << skewed.text;
+  EXPECT_GT(inner, skewed.text.find("for (int t1 ")) << skewed.text;
+  EXPECT_EQ(skewed.text.find("collapse"), std::string::npos) << skewed.text;
+
+  const Collapsed untiled_band = generate_collapsed(
+      "float** C;\n"
+      "void k(int n, int m) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      C[i][j] = 0.0f;\n"
+      "}\n",
+      untiled());
+  EXPECT_EQ(untiled_band.collapse, 1u);
+  EXPECT_NE(untiled_band.text.find("#pragma omp parallel for\n"),
+            std::string::npos)
+      << untiled_band.text;
+  EXPECT_EQ(untiled_band.text.find("collapse"), std::string::npos);
+}
+
+TEST(CodegenCollapse, NoClauseWithoutParallelization) {
+  CodegenOptions o = tiled(8);
+  o.parallelize = false;
+  const Collapsed c = generate_collapsed(
+      "float** C;\n"
+      "void k(int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++) C[i][j] = 0.0f;\n"
+      "}\n",
+      o);
+  EXPECT_EQ(c.collapse, 1u);
+  EXPECT_EQ(c.text.find("#pragma"), std::string::npos) << c.text;
+}
+
+TEST(CodegenCollapse, ClauseOrderIsCollapseScheduleReduction) {
+  CodegenOptions o = tiled(8);
+  o.schedule = {OmpScheduleKind::Dynamic, 1};
+  const Collapsed c = generate_collapsed(
+      "float** C;\n"
+      "void k(int n, int m) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < m; j++)\n"
+      "      s = s + C[i][j];\n"
+      "}\n",
+      o);
+  EXPECT_NE(c.text.find("#pragma omp parallel for collapse(2) "
+                        "schedule(dynamic,1) reduction(+:s)\n"),
+            std::string::npos)
+      << c.text;
+}
+
 TEST(Codegen, GeneratedBoundsUseHelpers) {
   Prepared p = prepare(
       "float** C;\n"

@@ -990,6 +990,48 @@ int main() {
 }
 )";
 
+// A tiled band whose rows are independent but whose columns carry a
+// dependence (a[i][j] reads a[i][j-1]): only the outer tile loop may run
+// in parallel, so the pragma must stay on t1t without a collapse clause.
+// Both tile dimensions span several tiles, so a wrongly collapsed t2t
+// would split a row's scan across threads and change the checksum.
+inline constexpr const char* kRunRowCarried = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+pure float damp(float x) {
+  return 0.5f * x + 1.0f;
+}
+
+void scan_rows(float** a, float** b, int n, int m) {
+  for (int i = 0; i < n; i++)
+    for (int j = 1; j < m; j++)
+      a[i][j] = a[i][j - 1] * 0.75f + damp(b[i][j]);
+}
+
+int main() {
+  int n = 160;
+  int m = 200;
+  float** a = (float**)malloc(n * sizeof(float*));
+  float** b = (float**)malloc(n * sizeof(float*));
+  for (int i = 0; i < n; i++) {
+    a[i] = (float*)malloc(m * sizeof(float));
+    b[i] = (float*)malloc(m * sizeof(float));
+    for (int j = 0; j < m; j++) {
+      a[i][j] = (float)(i % 3);
+      b[i][j] = (float)((i * 7 + j * 3) % 11) * 0.25f;
+    }
+  }
+  scan_rows(a, b, n, m);
+  double checksum = 0.0;
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < m; j++)
+      checksum += (double)a[i][j] * ((i + j) % 5 + 1);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
 /// The complete corpus: every fixture in tests/test_sources.h plus every
 /// paper listing checked in under assets/c/.
 inline std::vector<Fixture> all_fixtures() {
@@ -1058,6 +1100,9 @@ inline std::vector<Fixture> all_fixtures() {
       {"private_tmp", kRunPrivateTmp, false, kRunPrivateTmp, true, true},
       {"disjunctive_guard", kRunDisjunctiveGuard, false,
        kRunDisjunctiveGuard, true, true},
+      // Collapse legality: a tiled band with a column-carried dependence
+      // keeps the pragma on its outer tile loop alone.
+      {"row_carried", kRunRowCarried, false, kRunRowCarried, true, true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

@@ -29,7 +29,7 @@ float dot(const float* a, const float* b, int size)
 int main(int argc, char** argv)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for collapse(2)
     for (int t1t = 0; t1t <= 127; t1t++)
       for (int t2t = 0; t2t <= 127; t2t++)
         for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(4095, 32 * t1t + 31); t1++)

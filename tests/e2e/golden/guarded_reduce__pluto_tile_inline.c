@@ -38,7 +38,7 @@ int main()
 {
   int n = 64;
   {
-#pragma omp parallel for
+#pragma omp parallel for collapse(2)
     for (int t1t = 0; t1t <= floord(n - 1, 32); t1t++)
       for (int t2t = 0; t2t <= floord(n - 1, 32); t2t++)
         for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(n - 1, 32 * t1t + 31); t1++)

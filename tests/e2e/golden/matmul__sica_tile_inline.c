@@ -27,7 +27,7 @@ float dot(const float* a, const float* b, int size)
 int main(int argc, char** argv)
 {
   {
-#pragma omp parallel for
+#pragma omp parallel for collapse(2)
     for (int t1t = 0; t1t <= 1; t1t++)
       for (int t2t = 0; t2t <= 1; t2t++)
         for (int t1 = purec_max(0, 32 * t1t); t1 <= purec_min(63, 32 * t1t + 31); t1++)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 #include "emit/c_printer.h"
@@ -185,6 +188,120 @@ TEST(RuntimeSections, EmittedProgramCarriesEachSectionVerbatim) {
     EXPECT_EQ(artifacts.final_source.find(section, at + 1), std::string::npos)
         << "section embedded twice";
   }
+}
+
+// ---------------------------------------------------------------------------
+// --instrument on a collapse(k) nest
+// ---------------------------------------------------------------------------
+
+std::string run_shell(const std::string& cmd, int* status = nullptr) {
+  std::string output;
+  FILE* p = popen((cmd + " 2>&1").c_str(), "r");
+  if (p == nullptr) return output;
+  std::array<char, 256> buf{};
+  while (fgets(buf.data(), buf.size(), p) != nullptr) output += buf.data();
+  const int rc = pclose(p);
+  if (status != nullptr) *status = rc;
+  return output;
+}
+
+// 100 x 70 under 32 x 32 tiles: 4 x 3 = 12 (t1t, t2t) pairs per call.
+constexpr const char* kCollapsedScale = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+float** grid;
+
+void scale(int n, int m) {
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < m; j++)
+      grid[i][j] = grid[i][j] * 0.5f + (float)(i - j);
+}
+
+int main() {
+  int n = 100;
+  int m = 70;
+  grid = (float**)malloc(n * sizeof(float*));
+  for (int i = 0; i < n; i++)
+    grid[i] = (float*)malloc(m * sizeof(float));
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < m; j++)
+      grid[i][j] = (float)((i * 3 + j) % 7);
+  for (int r = 0; r < 3; r++) scale(n, m);
+  double checksum = 0.0;
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < m; j++)
+      checksum += (double)grid[i][j] * ((i + j) % 5 + 1);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+TEST(InstrumentCollapse, TalliesEveryTilePairOfACollapsedNest) {
+  if (run_shell("gcc --version").find("gcc") == std::string::npos) {
+    GTEST_SKIP() << "no system gcc";
+  }
+  ChainOptions options;
+  options.instrument = true;
+  const ChainArtifacts artifacts = run_pure_chain(kCollapsedScale, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  const std::string& source = artifacts.final_source;
+  // The tally lives in the body of t2t, the last collapsed loop: the
+  // pragma'd t1t must be followed directly by the t2t header.
+  const std::regex collapsed(
+      "#pragma omp parallel for collapse\\(2\\)\\n *for \\(int t1t[^\\n]*\\n"
+      " *for \\(int t2t[^\\n]*\\n *\\{\\n *purec_instr_chunk\\(");
+  ASSERT_TRUE(std::regex_search(source, collapsed)) << source;
+
+  ChainOptions serial_options;
+  serial_options.parallelize = false;
+  serial_options.tile = false;
+  const ChainArtifacts serial =
+      run_pure_chain(kCollapsedScale, serial_options);
+  ASSERT_TRUE(serial.ok) << serial.diagnostics.format();
+
+  const std::string dir = ::testing::TempDir();
+  const auto build = [&](const std::string& text, const std::string& stem) {
+    const std::string c_path = dir + "/" + stem + ".c";
+    std::ofstream(c_path) << text;
+    const std::string bin = dir + "/" + stem + ".bin";
+    int rc = -1;
+    const std::string log =
+        run_shell("gcc -O2 -fopenmp -o " + bin + " " + c_path + " -lm", &rc);
+    EXPECT_EQ(rc, 0) << log;
+    return bin;
+  };
+  const std::string serial_bin = build(serial.final_source, "collapse_ser");
+  const std::string instr_bin = build(source, "collapse_instr");
+
+  const std::string reference = run_shell(serial_bin);
+  ASSERT_NE(reference.find("checksum"), std::string::npos) << reference;
+  int rc = -1;
+  // The summary must reach stderr: no stats file, no trace file.
+  const std::string env = "OMP_NUM_THREADS=4 PUREC_STATS_FILE= PUREC_TRACE= ";
+  const std::string output = run_shell(env + instr_bin, &rc);
+  ASSERT_EQ(rc, 0) << output;
+  EXPECT_NE(output.find(reference), std::string::npos) << output;
+
+  std::string line;
+  std::istringstream lines(output);
+  std::string row;
+  while (std::getline(lines, row)) {
+    if (row.rfind("purec-instr[scale:", 0) == 0) line = row;
+  }
+  ASSERT_FALSE(line.empty()) << output;
+  // One region execution per call, exactly as without the collapse.
+  EXPECT_NE(line.find(" invocations=3 "), std::string::npos) << line;
+  long long tallied = 0;
+  int workers = 0;
+  const std::regex worker(" w[0-9]+=([0-9]+)");
+  for (auto it = std::sregex_iterator(line.begin(), line.end(), worker);
+       it != std::sregex_iterator(); ++it) {
+    tallied += std::stoll((*it)[1].str());
+    ++workers;
+  }
+  EXPECT_EQ(tallied, 3 * 12) << line;
+  EXPECT_GE(workers, 2) << line;  // the tuples spread past one worker
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ TEST_F(PureccCliTest, ReportJsonGoesToStderrOrFile) {
   const RunResult r =
       run_purecc("--report=json -o /dev/null " + shell_quote(input_path_));
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("\"report_version\": 4"), std::string::npos)
+  EXPECT_NE(r.output.find("\"report_version\": 5"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("\"purity\""), std::string::npos) << r.output;
 

@@ -151,6 +151,33 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
   EXPECT_NE(text.find("schedule(dynamic, 16)"), std::string::npos) << text;
   EXPECT_NE(text.find("steal_ratio="), std::string::npos) << text;
   EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
+  // A v3 report states no collapse depth: the schedule line shows none.
+  EXPECT_EQ(region.collapse, 1);
+  EXPECT_EQ(text.find("collapse("), std::string::npos) << text;
+}
+
+TEST(AnalyzeTrace, ShowsTheCollapseDepthOfAV5Report) {
+  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value report = parse_or_die(R"json({
+    "report_version": 5,
+    "scops": [{
+      "region_id": 0,
+      "function": "heat",
+      "location": {"line": 12},
+      "parallelized": true,
+      "schedule_clause": null,
+      "collapse": 2,
+      "tiled": true
+    }]
+  })json");
+  const auto summary = analyze_trace(trace, &report);
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_EQ(summary->report_version, 5);
+  EXPECT_EQ(summary->regions.begin()->second.collapse, 2);
+  const std::string text = render_trace_summary(*summary);
+  EXPECT_NE(text.find("schedule: default collapse(2) (parallelized tiled)"),
+            std::string::npos)
+      << text;
 }
 
 TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
