@@ -1,20 +1,19 @@
-// Shared bench-harness infrastructure: the paper's core ladder (1..64),
-// full-scale toggle, and helpers to register per-variant series with
-// google-benchmark using manual (kernel-only) timing.
+// Shared bench-harness infrastructure: problem-size scaling, the
+// repetition count, the thread ladder, and the host-honesty and number
+// formatting every BENCH_*.json writer uses.
 //
 // Environment knobs:
-//   PUREC_FULL=1         paper-scale problem sizes (4096^2 matrices, ...)
+//   PUREC_FULL=1         paper-scale problem sizes
 //   PUREC_SMOKE=1        CI-sized problems: correctness-of-harness runs
 //                        only, numbers are meaningless (set by bench-smoke)
 //   PUREC_REPS=<n>       repetitions per configuration (paper: 20)
-//   PUREC_MAX_THREADS=<n> clamp the thread ladder (default: full 1..64)
+//   PUREC_MAX_THREADS=<n> clamp the thread ladder below its cap
 #pragma once
 
-#include <benchmark/benchmark.h>
-
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +26,7 @@ namespace purec::bench {
 }
 
 /// bench-smoke clamp: shrink problem sizes so a one-repetition pass over
-/// every harness finishes in seconds (the fig8/fig9 satellite scenes
-/// otherwise dominate at ~23 s each). PUREC_FULL wins when both are set.
+/// every harness finishes in seconds. PUREC_FULL wins when both are set.
 [[nodiscard]] inline bool smoke_scale() {
   if (full_scale()) return false;
   const char* env = std::getenv("PUREC_SMOKE");
@@ -68,68 +66,28 @@ inline void write_json_host_fields(std::FILE* out) {
                hc, hc <= 1 ? "true" : "false");
 }
 
-/// The paper's ladder: 2^0 .. 2^6 cores. Values above the hardware
-/// concurrency oversubscribe (flagged in EXPERIMENTS.md), exactly like
-/// running the paper's 64-core sweep on a smaller node.
-[[nodiscard]] inline std::vector<std::int64_t> thread_ladder() {
-  std::int64_t max_threads = 64;
+/// Powers of two from 1 up to `cap` threads, lowered further (never
+/// raised) by PUREC_MAX_THREADS. Rungs above the hardware concurrency
+/// oversubscribe; the artifacts flag that via write_json_host_fields.
+[[nodiscard]] inline std::vector<int> thread_ladder(int cap) {
+  std::int64_t max_threads = cap;
   if (const char* env = std::getenv("PUREC_MAX_THREADS")) {
     const std::int64_t clamp = std::atoll(env);
-    if (clamp > 0) max_threads = clamp;
+    if (clamp > 0 && clamp < max_threads) max_threads = clamp;
   }
-  std::vector<std::int64_t> ladder;
-  for (std::int64_t t = 1; t <= max_threads; t *= 2) ladder.push_back(t);
+  std::vector<int> ladder;
+  for (std::int64_t t = 1; t <= max_threads; t *= 2)
+    ladder.push_back(static_cast<int>(t));
   return ladder;
 }
 
-/// Registers one benchmark series `<figure>/<name>/threads:T` for every T
-/// in the ladder. `run` returns the measured seconds for one repetition
-/// at the given thread count (manual timing: setup excluded by the
-/// runner, included only if the app counts it).
-inline void register_series(
-    const std::string& figure, const std::string& name,
-    const std::function<double(int threads)>& run) {
-  for (const std::int64_t threads : thread_ladder()) {
-    benchmark::RegisterBenchmark(
-        (figure + "/" + name).c_str(),
-        [run](benchmark::State& state) {
-          const int t = static_cast<int>(state.range(0));
-          for (auto _ : state) {
-            state.SetIterationTime(run(t));
-          }
-        })
-        ->Arg(threads)
-        ->ArgName("threads")
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(repetitions());
-  }
-}
-
-/// Speedup variant: reports Tseq / Tpar as the benchmark's "speedup"
-/// counter (the quantity on the y-axis of Figs. 5/7/9/11).
-inline void register_speedup_series(
-    const std::string& figure, const std::string& name,
-    double sequential_seconds,
-    const std::function<double(int threads)>& run) {
-  for (const std::int64_t threads : thread_ladder()) {
-    benchmark::RegisterBenchmark(
-        (figure + "/" + name).c_str(),
-        [run, sequential_seconds](benchmark::State& state) {
-          const int t = static_cast<int>(state.range(0));
-          double seconds = 0.0;
-          for (auto _ : state) {
-            seconds = run(t);
-            state.SetIterationTime(seconds);
-          }
-          state.counters["speedup"] = sequential_seconds / seconds;
-        })
-        ->Arg(threads)
-        ->ArgName("threads")
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(repetitions());
-  }
+/// A double as a JSON number. JSON has no NaN/Inf, so a timer or checksum
+/// gone bad becomes null rather than invalid JSON.
+[[nodiscard]] inline std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
 }
 
 }  // namespace purec::bench

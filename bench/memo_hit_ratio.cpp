@@ -35,6 +35,8 @@
 
 namespace {
 
+using purec::bench::json_number;
+
 using Clock = std::chrono::steady_clock;
 using purec::rt::MemoCache;
 using purec::rt::MemoConfig;
@@ -148,21 +150,6 @@ double run_matmul(purec::rt::ThreadPool& pool, int n,
   return checksum;
 }
 
-std::vector<int> bench_threads() {
-  std::vector<int> ladder;
-  for (const std::int64_t t : purec::bench::thread_ladder()) {
-    if (t <= 8) ladder.push_back(static_cast<int>(t));
-  }
-  return ladder;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void print_row(const char* workload, const RunRow& row) {
   std::printf(
       "%-12s size=%-7d distinct=%-7d threads=%d  plain %8.1f ms  "
@@ -194,7 +181,7 @@ int main(int argc, char** argv) {
 
   for (const int distinct :
        {32, 4096, smoke ? (1 << 14) : (1 << 18)}) {
-    for (const int threads : bench_threads()) {
+    for (const int threads : purec::bench::thread_ladder(8)) {
       purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
       std::vector<float> out(static_cast<std::size_t>(pixels), 0.0f);
 
@@ -237,7 +224,7 @@ int main(int argc, char** argv) {
       a[i] = static_cast<float>((i * 7 + 3) % 11) * 0.25f;
       bt[i] = static_cast<float>((i * 5 + 2) % 13) * 0.5f;
     }
-    for (const int threads : bench_threads()) {
+    for (const int threads : purec::bench::thread_ladder(8)) {
       purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
       Clock::time_point start = Clock::now();
       const double plain_checksum =

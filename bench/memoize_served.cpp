@@ -167,10 +167,7 @@ int main() {
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string cache_dir = tmpdir != nullptr ? tmpdir : "/tmp";
 
-  std::vector<int> worker_ladder;
-  for (const std::int64_t t : purec::bench::thread_ladder()) {
-    if (t <= 8) worker_ladder.push_back(static_cast<int>(t));
-  }
+  const std::vector<int> worker_ladder = purec::bench::thread_ladder(8);
 
   // Unmemoized serial baseline per worker count: the checksum every cached
   // configuration must reproduce bit-for-bit (pure handler, exact bit

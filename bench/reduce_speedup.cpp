@@ -16,7 +16,6 @@
 // JSON schema: see EXPERIMENTS.md ("Reduction speedup"). Output path:
 // $PUREC_BENCH_JSON or ./BENCH_reduce.json.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +27,8 @@
 #include "runtime/thread_pool.h"
 
 namespace {
+
+using purec::bench::json_number;
 
 using Clock = std::chrono::steady_clock;
 
@@ -42,27 +43,6 @@ struct Row {
   double seconds;
   double checksum;
 };
-
-std::string json_number(double v) {
-  // JSON numbers may not be NaN/Inf; emit null instead of invalid JSON if
-  // a timer or checksum goes bad.
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::vector<int> reduce_threads() {
-  std::int64_t max_threads = 8;
-  if (const char* env = std::getenv("PUREC_MAX_THREADS")) {
-    const std::int64_t clamp = std::atoll(env);
-    if (clamp > 0 && clamp < max_threads) max_threads = clamp;
-  }
-  std::vector<int> ladder;
-  for (std::int64_t t = 1; t <= max_threads; t *= 2)
-    ladder.push_back(static_cast<int>(t));
-  return ladder;
-}
 
 /// Best-of-PUREC_REPS wall time for one run of `work()`, which returns
 /// the checksum (also verified to be identical across repetitions).
@@ -148,7 +128,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s%-10s%8s%12.1f%10s\n", "min", "serial", "-",
               min_serial_s * 1e3, "1.00x");
 
-  for (const int threads : reduce_threads()) {
+  for (const int threads : purec::bench::thread_ladder(8)) {
     purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
     for (const Sched& sched : schedules) {
       const Row dot_row = time_best("dot", sched.name, threads, [&] {

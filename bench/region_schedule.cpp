@@ -19,7 +19,6 @@
 // JSON schema: see EXPERIMENTS.md ("Region scheduling"). Output path:
 // $PUREC_BENCH_JSON or ./BENCH_region_schedule.json.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,8 @@
 #include "runtime/thread_pool.h"
 
 namespace {
+
+using purec::bench::json_number;
 
 using Clock = std::chrono::steady_clock;
 
@@ -45,25 +46,6 @@ struct Row {
   double seconds;
   double checksum;
 };
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::vector<int> bench_threads() {
-  std::int64_t max_threads = 8;
-  if (const char* env = std::getenv("PUREC_MAX_THREADS")) {
-    const std::int64_t clamp = std::atoll(env);
-    if (clamp > 0 && clamp < max_threads) max_threads = clamp;
-  }
-  std::vector<int> ladder;
-  for (std::int64_t t = 1; t <= max_threads; t *= 2)
-    ladder.push_back(static_cast<int>(t));
-  return ladder;
-}
 
 /// Best-of-PUREC_REPS wall time for `work()` (the kernel only); the
 /// checksum fold runs after the clock stops so the measured region is
@@ -186,7 +168,7 @@ int main(int argc, char** argv) {
     std::printf("%-10s%-12s%8s%12.1f%10s\n", row.kernel.c_str(),
                 row.variant.c_str(), "-", row.seconds * 1e3, "1.00x");
 
-  for (const int threads : bench_threads()) {
+  for (const int threads : purec::bench::thread_ladder(8)) {
     purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
 
     // fusion: two parallel passes (what separate nests cost) vs the one

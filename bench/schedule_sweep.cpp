@@ -1,36 +1,26 @@
-// Schedule sweep + pool-overhead microbenchmark (the runtime substrate's
-// perf contract), emitting machine-readable BENCH_schedule_sweep.json.
+// Pool-overhead microbenchmark (the runtime substrate's region-launch
+// contract), emitting machine-readable BENCH_schedule_sweep.json.
 //
-// Part 1 — pool_overhead: region-launch latency (an empty parallel
-// region, fork + join) of the seed's two-condvar/std::function pool —
-// kept below verbatim as LegacyCondvarPool for an in-binary A/B — against
-// the current spin-then-park FunctionRef pool, at 1/2/4/8 threads.
-//
-// Part 2 — satellite_sweep: the fig8 AOD workload (late-scene imbalance,
-// §4.3.3) under static / dynamic / dynamic+stealing / guided × chunk
-// {1,4,16,64} pixels. Checksums must agree across every configuration —
-// pixels are independent, so any divergence is a scheduling bug and the
-// harness exits nonzero.
+// Region-launch latency — an empty parallel region, fork + join — of the
+// spin-then-park FunctionRef pool at 1/2/4/8 workers, once under its
+// default policy (OS threads capped at the hardware concurrency, surplus
+// worker indices folded in — see thread_pool.h) and once with
+// PUREC_OVERSUBSCRIBE=1 forcing one OS thread per worker.
 //
 // JSON schema: see EXPERIMENTS.md ("Schedule sweep"). Output path:
 // $PUREC_BENCH_JSON or ./BENCH_schedule_sweep.json.
 #include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "apps/satellite.h"
 #include "bench_common.h"
-#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
 namespace {
+
+using purec::bench::json_number;
 
 using Clock = std::chrono::steady_clock;
 
@@ -38,89 +28,20 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// The seed runtime's pool, reproduced verbatim (two condition variables,
-// one mutex, std::function dispatch) so the overhead comparison measures
-// the substrate change and nothing else.
-// ---------------------------------------------------------------------------
-
-class LegacyCondvarPool {
- public:
-  explicit LegacyCondvarPool(std::size_t worker_count) {
-    if (worker_count == 0) worker_count = 1;
-    workers_.reserve(worker_count - 1);
-    for (std::size_t i = 1; i < worker_count; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-
-  ~LegacyCondvarPool() {
-    {
-      std::lock_guard lock(mutex_);
-      shutdown_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  void run_on_all(const std::function<void(std::size_t)>& task) {
-    if (workers_.empty()) {
-      task(0);
-      return;
-    }
-    {
-      std::lock_guard lock(mutex_);
-      task_ = &task;
-      remaining_ = workers_.size();
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    task(0);
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    task_ = nullptr;
-  }
-
- private:
-  void worker_loop(std::size_t index) {
-    std::size_t seen_generation = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* task = nullptr;
-      {
-        std::unique_lock lock(mutex_);
-        start_cv_.wait(lock, [&] {
-          return shutdown_ || generation_ != seen_generation;
-        });
-        if (shutdown_) return;
-        seen_generation = generation_;
-        task = task_;
-      }
-      (*task)(index);
-      {
-        std::lock_guard lock(mutex_);
-        if (--remaining_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t generation_ = 0;
-  std::size_t remaining_ = 0;
-  bool shutdown_ = false;
-};
-
-/// ns per empty fork/join region. Pool construction and teardown are
-/// excluded; a short warmup gets every worker through its first park.
-template <class Pool>
-double measure_region_ns(Pool& pool, int regions) {
+/// ns per empty fork/join region, best of `reps` batches. Pool
+/// construction and teardown are excluded; a short warmup gets every
+/// worker through its first park.
+double measure_region_ns(purec::rt::ThreadPool& pool, int regions,
+                         int reps) {
   for (int r = 0; r < 200; ++r) pool.run_on_all([](std::size_t) {});
-  const Clock::time_point start = Clock::now();
-  for (int r = 0; r < regions; ++r) pool.run_on_all([](std::size_t) {});
-  return seconds_since(start) * 1e9 / regions;
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const Clock::time_point start = Clock::now();
+    for (int r = 0; r < regions; ++r) pool.run_on_all([](std::size_t) {});
+    const double ns = seconds_since(start) * 1e9 / regions;
+    if (rep == 0 || ns < best) best = ns;
+  }
+  return best;
 }
 
 struct OverheadRow {
@@ -130,133 +51,38 @@ struct OverheadRow {
   double ns_per_region;
 };
 
-struct SweepRow {
-  std::string schedule;
-  std::int64_t chunk;
-  int threads;
-  double seconds;
-  double checksum;
-};
-
-purec::apps::SatelliteConfig sweep_config() {
-  purec::apps::SatelliteConfig c;
-  c.width = purec::bench::scaled_size(1354, c.width, 96);
-  c.height = purec::bench::scaled_size(2030, c.height, 96);
-  c.bands = purec::bench::scaled_size(8, c.bands, 4);
-  return c;
-}
-
-int sweep_threads() {
-  std::int64_t threads = 8;
-  if (const char* env = std::getenv("PUREC_MAX_THREADS")) {
-    const std::int64_t clamp = std::atoll(env);
-    if (clamp > 0 && clamp < threads) threads = clamp;
-  }
-  return static_cast<int>(threads);
-}
-
-std::string json_escape_free_number(double v) {
-  // JSON numbers may not be NaN/Inf; the harness never produces them, but
-  // emit null instead of invalid JSON if a timer or checksum goes bad.
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+int main() {
   const bool smoke = purec::bench::smoke_scale();
   const int regions = smoke ? 2000 : 20000;
+  const int reps = purec::bench::repetitions();
 
-  // --- Part 1: pool overhead -------------------------------------------
-  // Three pools per rung: the seed's condvar/std::function pool (always
-  // one OS thread per worker), the current substrate under its default
-  // policy (OS threads capped at the hardware concurrency, surplus
-  // indices folded in — see thread_pool.h), and the current substrate
-  // with PUREC_OVERSUBSCRIBE=1 forcing one OS thread per worker, which
-  // isolates the barrier change from the virtualization change.
   std::vector<OverheadRow> overhead;
-  std::printf("pool-overhead microbenchmark (%d empty regions/config)\n",
-              regions);
-  std::printf("%-10s%16s%16s%18s%10s\n", "threads", "seed condvar",
-              "spin+park", "spin+park oversub", "ratio");
+  std::printf("pool overhead: %d empty regions/config, best of %d\n",
+              regions, reps);
+  std::printf("%-10s%16s%18s\n", "threads", "spin+park", "spin+park oversub");
   for (const int threads : {1, 2, 4, 8}) {
-    double legacy_ns = 0.0;
-    {
-      LegacyCondvarPool pool(static_cast<std::size_t>(threads));
-      legacy_ns = measure_region_ns(pool, regions);
-    }
     double current_ns = 0.0;
     int current_os_threads = 0;
     {
       purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
       current_os_threads = static_cast<int>(pool.os_thread_count());
-      current_ns = measure_region_ns(pool, regions);
+      current_ns = measure_region_ns(pool, regions, reps);
     }
     double oversub_ns = 0.0;
     {
       setenv("PUREC_OVERSUBSCRIBE", "1", 1);
       purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
       unsetenv("PUREC_OVERSUBSCRIBE");
-      oversub_ns = measure_region_ns(pool, regions);
+      oversub_ns = measure_region_ns(pool, regions, reps);
     }
-    overhead.push_back({"seed_condvar", threads, threads, legacy_ns});
     overhead.push_back(
         {"spin_park", threads, current_os_threads, current_ns});
     overhead.push_back({"spin_park_oversub", threads, threads, oversub_ns});
-    std::printf("%-10d%13.0f ns%13.0f ns%15.0f ns%9.2fx\n", threads,
-                legacy_ns, current_ns, oversub_ns, legacy_ns / current_ns);
+    std::printf("%-10d%13.0f ns%15.0f ns\n", threads, current_ns, oversub_ns);
   }
 
-  // --- Part 2: fig8 satellite schedule sweep ---------------------------
-  const purec::apps::SatelliteConfig config = sweep_config();
-  const int threads = sweep_threads();
-  purec::rt::ThreadPool pool(static_cast<std::size_t>(threads));
-
-  std::vector<SweepRow> sweep;
-  const auto run_one = [&](const std::string& name,
-                           const purec::rt::ForOptions& options,
-                           std::int64_t reported_chunk) {
-    const purec::apps::RunResult result =
-        purec::apps::run_satellite_schedule(config, pool, options);
-    sweep.push_back({name, reported_chunk, threads, result.compute_seconds,
-                     result.checksum});
-    std::printf("%-16s chunk=%-4lld %9.1f ms\n", name.c_str(),
-                static_cast<long long>(reported_chunk),
-                result.compute_seconds * 1e3);
-  };
-
-  std::printf("\nfig8 satellite sweep: %dx%dx%d pixels, %d threads\n",
-              config.width, config.height, config.bands, threads);
-  run_one("static", {purec::rt::Schedule::Static, 0}, 0);
-  for (const std::int64_t chunk : {1, 4, 16, 64}) {
-    run_one("dynamic", {purec::rt::Schedule::Dynamic, chunk}, chunk);
-    run_one("dynamic_steal",
-            {purec::rt::Schedule::Dynamic, chunk, /*stealing=*/true},
-            chunk);
-    run_one("guided", {purec::rt::Schedule::Guided, chunk}, chunk);
-  }
-
-  // Pixels are independent: every schedule must compute the identical
-  // scene. A drift here is a scheduling bug, not noise.
-  bool checksums_ok = true;
-  for (const SweepRow& row : sweep) {
-    if (row.checksum != sweep.front().checksum) {
-      std::fprintf(stderr,
-                   "schedule_sweep: checksum mismatch for %s,%lld "
-                   "(%.6f vs %.6f)\n",
-                   row.schedule.c_str(),
-                   static_cast<long long>(row.chunk), row.checksum,
-                   sweep.front().checksum);
-      checksums_ok = false;
-    }
-  }
-
-  // --- JSON artifact ---------------------------------------------------
   const char* json_path_env = std::getenv("PUREC_BENCH_JSON");
   const std::string json_path =
       json_path_env != nullptr ? json_path_env : "BENCH_schedule_sweep.json";
@@ -269,10 +95,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"benchmark\": \"schedule_sweep\",\n");
   purec::bench::write_json_host_fields(out);
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out,
-               "  \"workload\": {\"name\": \"fig8_satellite\", \"width\": "
-               "%d, \"height\": %d, \"bands\": %d},\n",
-               config.width, config.height, config.bands);
+  std::fprintf(out, "  \"regions\": %d,\n", regions);
+  std::fprintf(out, "  \"repetitions\": %d,\n", reps);
   std::fprintf(out, "  \"pool_overhead\": [\n");
   for (std::size_t i = 0; i < overhead.size(); ++i) {
     const OverheadRow& row = overhead[i];
@@ -280,23 +104,11 @@ int main(int argc, char** argv) {
                  "    {\"pool\": \"%s\", \"threads\": %d, "
                  "\"os_threads\": %d, \"ns_per_region\": %s}%s\n",
                  row.pool, row.threads, row.os_threads,
-                 json_escape_free_number(row.ns_per_region).c_str(),
+                 json_number(row.ns_per_region).c_str(),
                  i + 1 < overhead.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"satellite_sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& row = sweep[i];
-    std::fprintf(out,
-                 "    {\"schedule\": \"%s\", \"chunk\": %lld, \"threads\": "
-                 "%d, \"seconds\": %s, \"checksum\": %s}%s\n",
-                 row.schedule.c_str(), static_cast<long long>(row.chunk),
-                 row.threads, json_escape_free_number(row.seconds).c_str(),
-                 json_escape_free_number(row.checksum).c_str(),
-                 i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", json_path.c_str());
-
-  return checksums_ok ? 0 : 1;
+  return 0;
 }

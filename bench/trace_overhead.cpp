@@ -146,8 +146,8 @@ int main() {
                        : (smoke ? 1 : 5);
 
   std::vector<Row> rows;
-  for (const std::int64_t threads : purec::bench::thread_ladder()) {
-    if (threads > 8) break;  // the committed ladder is 1/2/4/8
+  // The committed ladder is 1/2/4/8.
+  for (const std::int64_t threads : purec::bench::thread_ladder(8)) {
     ThreadPool pool(static_cast<std::size_t>(threads));
     // Warm the pool (thread spawn + first-touch) outside the timing.
     measure(pool, 8, false);

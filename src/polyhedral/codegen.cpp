@@ -483,6 +483,8 @@ StmtPtr generate_code(const Scop& scop, const Transform& transform,
   if (result_out != nullptr) {
     result_out->substitution = std::move(substitution);
     result_out->collapse = collapse;
+    result_out->schedule_clause = schedule_clause;
+    result_out->tiled = do_tile;
   }
   return result;
 }

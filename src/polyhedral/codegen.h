@@ -67,6 +67,11 @@ struct CodegenResult {
   /// tile loops of a tiled band when each is parallel and the tile space
   /// is rectangular up to it. 1 = no collapse clause.
   std::size_t collapse = 1;
+  /// The effective schedule clause ("" = none): the user's spec, or the
+  /// guided default for an imbalanced domain.
+  std::string schedule_clause;
+  /// True when the band was strip-mined into tile and point loops.
+  bool tiled = false;
 };
 
 /// Generates the transformed loop nest. The returned compound statement

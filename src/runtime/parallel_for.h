@@ -12,15 +12,12 @@
 // tolerance without every claim contending one counter.
 //
 // The schedule loops are templates, so a lambda body inlines into the
-// per-chunk claim loop and per-chunk dispatch costs nothing; the
-// `std::function` signatures of the original runtime are kept as thin
-// wrappers (defined in parallel_for.cpp) for code that wants a stable ABI.
+// per-chunk claim loop and per-chunk dispatch costs nothing.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "runtime/stats.h"
@@ -310,26 +307,5 @@ template <class Body>
       [](double a, double b) { return a + b; },
       static_cast<Body&&>(body), options);
 }
-
-// ---------------------------------------------------------------------------
-// Type-erased wrappers (the original runtime signatures). Thin: they just
-// instantiate the templates above with a std::function body. Prefer the
-// templates in hot code — these keep one indirect call per iteration or
-// chunk, the templates keep none.
-// ---------------------------------------------------------------------------
-
-void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& body,
-                  const ForOptions& options = {});
-
-void parallel_for_blocked(
-    ThreadPool& pool, std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& body,
-    const ForOptions& options = {});
-
-[[nodiscard]] double parallel_reduce_sum(
-    ThreadPool& pool, std::int64_t begin, std::int64_t end,
-    const std::function<double(std::int64_t)>& body,
-    const ForOptions& options = {});
 
 }  // namespace purec::rt

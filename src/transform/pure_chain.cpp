@@ -944,21 +944,11 @@ ChainArtifacts run_pure_chain(const std::string& source,
             report.parallel_loops = 1;
             report.privatized = priv0;
             report.collapse = codegen.collapse;
+            report.schedule_clause = codegen.schedule_clause;
           }
-          report.tiled = options.tile && transform.band_size >= 2 &&
-                         options.tile_size > 1;
+          report.tiled = codegen.tiled;
         }
-        if (report.parallelized) {
-          // Mirror codegen's schedule policy for the report: the user's
-          // spec wins; with none, imbalanced (triangular) domains get
-          // the guided fallback (see poly::domain_is_imbalanced).
-          ScheduleSpec effective = options.schedule;
-          if (effective.empty() && poly::domain_is_imbalanced(scop)) {
-            effective.kind = OmpScheduleKind::Guided;
-            effective.chunk = 4;
-          }
-          report.schedule_clause = effective.clause();
-        } else if (options.parallelize) {
+        if (!report.parallelized && options.parallelize) {
           // The hyperplane path left the nest serial: fall back to
           // statement-level fission — a partially parallel nest splits
           // into a serial loop plus a parallel loop instead of

@@ -218,11 +218,15 @@ TEST(Codegen, TriangularNestDefaultsToGuidedSchedule) {
       "}\n");
   CodegenOptions options;
   options.tile = false;
-  StmtPtr generated = generate_code(p.scop, p.transform, options);
+  CodegenResult result;
+  StmtPtr generated = generate_code(p.scop, p.transform, options, &result);
   ASSERT_NE(generated, nullptr);
   EXPECT_NE(print_c(*generated).find("schedule(guided,4)"),
             std::string::npos)
       << print_c(*generated);
+  // The chain's report reads the effective clause from the result.
+  EXPECT_EQ(result.schedule_clause, "schedule(guided,4)");
+  EXPECT_FALSE(result.tiled);
 
   // An explicit user spec always wins over the imbalance default.
   options.schedule = *ScheduleSpec::parse("dynamic,1");
@@ -592,6 +596,7 @@ TEST(CodegenCollapse, ColumnCarriedDependenceKeepsOneLoop) {
   StmtPtr generated = generate_code(p.scop, p.transform, tiled(8), &result);
   ASSERT_NE(generated, nullptr);
   const std::string text = print_c(*generated);
+  EXPECT_TRUE(result.tiled);
   EXPECT_EQ(result.collapse, 1u);
   EXPECT_NE(text.find("#pragma omp parallel for\n"), std::string::npos)
       << text;

@@ -1,7 +1,8 @@
 // purec::rt::stats behind -DPUREC_RT_STATS=1: this executable recompiles
-// thread_pool.cpp / parallel_for.cpp / memo_cache.cpp with the knob on
-// (tests/CMakeLists.txt), so the hooks are live here while the production
-// runtime archive keeps them compiled out. The assertions are accounting
+// thread_pool.cpp / memo_cache.cpp with the knob on (see
+// tests/CMakeLists.txt) and instantiates the parallel_for.h templates under
+// it, so the hooks are live here while the production runtime archive
+// keeps them compiled out. The assertions are accounting
 // identities — chunk tallies must sum to exactly the chunk count the
 // schedule math dictates — plus the dump/reset surface.
 #include "runtime/stats.h"

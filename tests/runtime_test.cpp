@@ -375,22 +375,6 @@ TEST(ParallelReduce, NonCommutativeCombinePreservesWorkerOrder) {
   EXPECT_EQ(joined, expected);
 }
 
-TEST(ParallelReduce, TypeErasedWrapperMatchesTemplate) {
-  // The std::function signatures must stay behaviorally identical to the
-  // templated core they wrap.
-  ThreadPool pool(4);
-  const std::function<double(std::int64_t)> erased = [](std::int64_t i) {
-    return static_cast<double>(i % 7);
-  };
-  const double via_wrapper =
-      parallel_reduce_sum(pool, 0, 1000, erased, {Schedule::Guided, 4});
-  const double via_template = parallel_reduce_sum(
-      pool, 0, 1000,
-      [](std::int64_t i) { return static_cast<double>(i % 7); },
-      {Schedule::Guided, 4});
-  EXPECT_DOUBLE_EQ(via_wrapper, via_template);
-}
-
 // Thread-count sweep property: the result never depends on the pool size.
 class ThreadSweep : public ::testing::TestWithParam<int> {};
 
