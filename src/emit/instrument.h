@@ -6,7 +6,9 @@
 // runtime/c/purec_rt.h (with the `stats`, `hist` and `trace` sections it
 // builds on), which the chain embeds via emit/runtime_sections.h.
 // Everything is plain C with GCC __atomic builtins, so the output stays
-// dependency-free.
+// dependency-free. tests/runtime_test.cpp tests the histogram cells and
+// the trace append through the C API; e2e_chain_test runs the counters in
+// an instrumented binary.
 //
 // Counter design follows the per-CPU pattern (McKenney): one cache-line-
 // padded cell per worker, bumped with a relaxed __atomic add. The hot-path

@@ -1,5 +1,5 @@
 // The runtime the emitted C carries: named sections of
-// runtime/c/purec_rt.h, the one C source the C++ runtime also compiles.
+// runtime/c/purec_rt.h, the one C source of the purec runtime.
 //
 // The build embeds the header's text as a string (src/CMakeLists.txt), so
 // purecc output stays self-contained and never drifts from the header.
@@ -9,7 +9,7 @@
 //   stats         purec_stats_out(), the shared exit-dump stream
 //   hist          histogram cell math and percentiles
 //   trace         cooperative Chrome-trace array append
-//   memo          the concurrent memo table (C and C++)
+//   memo          the concurrent memo table
 //   memo_program  the emitted table, its knobs, thunk key/pack macros
 //   instrument    --instrument counters and exit dump (needs stats, hist
 //                 and trace)

@@ -1,7 +1,7 @@
 // Emission half of the `--memoize` subsystem: per-function thunk text.
 // The concurrent table the thunks call is the `memo` and `memo_program`
 // sections of runtime/c/purec_rt.h, which the chain embeds (see
-// emit/runtime_sections.h) — the same C the C++ runtime's MemoCache calls.
+// emit/runtime_sections.h); tests/runtime_test.cpp tests that C directly.
 //
 // A memoizable call site `f(a, b)` is rewritten to `purec_memo_f(a, b)`;
 // the thunk folds the argument bit patterns and the scalar global-read

@@ -136,30 +136,13 @@ namespace {
              : 0;
 }
 
-}  // namespace
-
-void apply_iterator_substitution(ExprPtr& expr,
-                                 const std::vector<std::string>& old_names,
-                                 const IteratorSubstitution& substitution) {
-  for_each_expr_slot(expr, [&](ExprPtr& slot) -> bool {
-    const auto* ident = expr_cast<IdentExpr>(slot.get());
-    if (ident == nullptr) return false;
-    for (std::size_t j = 0; j < old_names.size(); ++j) {
-      if (ident->name == old_names[j]) {
-        slot = affine_to_expr(substitution.iterator_replacement[j],
-                              substitution_constant(substitution, j),
-                              substitution.names);
-        return true;  // do not descend into the replacement
-      }
-    }
-    return false;
-  });
-}
-
-void apply_iterator_substitution(StmtPtr& stmt,
-                                 const std::vector<std::string>& old_names,
-                                 const IteratorSubstitution& substitution) {
-  for_each_expr_slot(*stmt, [&](ExprPtr& slot) -> bool {
+/// The slot callback both overloads share: an old iterator's identifier
+/// becomes its affine replacement, and the walk does not descend into the
+/// replacement.
+[[nodiscard]] ExprSlotFn iterator_substituter(
+    const std::vector<std::string>& old_names,
+    const IteratorSubstitution& substitution) {
+  return [&old_names, &substitution](ExprPtr& slot) -> bool {
     const auto* ident = expr_cast<IdentExpr>(slot.get());
     if (ident == nullptr) return false;
     for (std::size_t j = 0; j < old_names.size(); ++j) {
@@ -171,7 +154,21 @@ void apply_iterator_substitution(StmtPtr& stmt,
       }
     }
     return false;
-  });
+  };
+}
+
+}  // namespace
+
+void apply_iterator_substitution(ExprPtr& expr,
+                                 const std::vector<std::string>& old_names,
+                                 const IteratorSubstitution& substitution) {
+  for_each_expr_slot(expr, iterator_substituter(old_names, substitution));
+}
+
+void apply_iterator_substitution(StmtPtr& stmt,
+                                 const std::vector<std::string>& old_names,
+                                 const IteratorSubstitution& substitution) {
+  for_each_expr_slot(*stmt, iterator_substituter(old_names, substitution));
 }
 
 namespace {

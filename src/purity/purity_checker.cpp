@@ -364,9 +364,7 @@ void PurityChecker::verify_function(const FunctionDecl& fn) {
 
 namespace {
 
-/// Collects argument root names of pure-function calls, and write-target
-/// root names, over one loop nest. Name-based on purpose: §3.4 documents
-/// that aliases evade this check (Listing 6).
+/// Collects a nest's NestRoots and whether all its calls are pure.
 class ScopScanner {
  public:
   ScopScanner(const FunctionScopeInfo& scope,
@@ -377,26 +375,15 @@ class ScopScanner {
         pure_set_(pure_set),
         assumed_global_reads_(assumed_global_reads) {}
 
-  struct Listing5Violation {
-    std::string name;
-    SourceLocation loc;
-    /// The conflict came through an inferred function's global read, not a
-    /// literal call argument.
-    bool implicit_global = false;
-  };
-
   struct NestReport {
     bool all_calls_pure = true;
     bool contains_calls = false;
-    std::vector<Listing5Violation> listing5_violations;
+    NestRoots roots;
   };
 
   [[nodiscard]] NestReport scan(const ForStmt& loop) {
     NestReport report;
-    std::set<std::string> call_arg_roots;
-    std::set<std::string> implicit_global_roots;
-    std::set<std::string> write_roots;
-    std::set<std::string> global_writes;
+    NestRoots& roots = report.roots;
 
     const auto record_write = [&](const Expr& lhs) {
       const Symbol* root = scope_.lvalue_root(lhs);
@@ -405,15 +392,15 @@ class ScopScanner {
                              root->kind == SymbolKind::Unknown;
       const LvalueShape shape = lvalue_shape(lhs);
       if (shape == LvalueShape::Through) {
-        write_roots.insert(root->name);
+        roots.writes.insert(root->name);
         // The inference-provenance rule matches globals only, so a local
         // that shadows a global's name cannot trigger it.
-        if (is_global) global_writes.insert(root->name);
+        if (is_global) roots.global_writes.insert(root->name);
       } else if (shape == LvalueShape::Bare && is_global) {
         // Only the inference-provenance rule below sees these; the
         // paper's argument rule stays name+Through based (its alias
         // holes — Listing 6, pointer swaps — are pinned behavior).
-        global_writes.insert(root->name);
+        roots.global_writes.insert(root->name);
       }
     };
 
@@ -426,14 +413,14 @@ class ScopScanner {
           return;
         }
         for (const ExprPtr& arg : call->args) {
-          collect_pointer_roots(*arg, call_arg_roots);
+          collect_pointer_roots(*arg, roots.call_args);
         }
         // Inference provenance: globals the callee reads behave like
         // arguments of the call.
         const auto reads = assumed_global_reads_.find(name);
         if (reads != assumed_global_reads_.end()) {
-          implicit_global_roots.insert(reads->second.begin(),
-                                       reads->second.end());
+          roots.implicit_globals.insert(reads->second.begin(),
+                                        reads->second.end());
         }
         return;
       }
@@ -453,18 +440,6 @@ class ScopScanner {
         return;
       }
     });
-
-    for (const std::string& w : write_roots) {
-      if (call_arg_roots.count(w) != 0) {
-        report.listing5_violations.push_back({w, loop.loc, false});
-      }
-    }
-    for (const std::string& w : global_writes) {
-      if (call_arg_roots.count(w) == 0 &&
-          implicit_global_roots.count(w) != 0) {
-        report.listing5_violations.push_back({w, loop.loc, true});
-      }
-    }
     return report;
   }
 
@@ -489,6 +464,29 @@ class ScopScanner {
 
 }  // namespace
 
+void NestRoots::merge(const NestRoots& other) {
+  call_args.insert(other.call_args.begin(), other.call_args.end());
+  implicit_globals.insert(other.implicit_globals.begin(),
+                          other.implicit_globals.end());
+  writes.insert(other.writes.begin(), other.writes.end());
+  global_writes.insert(other.global_writes.begin(),
+                       other.global_writes.end());
+}
+
+std::vector<Listing5Conflict> listing5_conflicts(const NestRoots& roots) {
+  std::vector<Listing5Conflict> conflicts;
+  for (const std::string& w : roots.writes) {
+    if (roots.call_args.count(w) != 0) conflicts.push_back({w, false});
+  }
+  for (const std::string& w : roots.global_writes) {
+    if (roots.call_args.count(w) == 0 &&
+        roots.implicit_globals.count(w) != 0) {
+      conflicts.push_back({w, true});
+    }
+  }
+  return conflicts;
+}
+
 void PurityChecker::detect_scops(const FunctionDecl& fn) {
   const FunctionScopeInfo* scope = symbols_.scope_for(fn);
   if (scope == nullptr) return;
@@ -501,13 +499,15 @@ void PurityChecker::detect_scops(const FunctionDecl& fn) {
                                                     bool inside_marked) {
     if (const auto* loop = stmt_cast<ForStmt>(&s)) {
       if (!inside_marked) {
-        const ScopScanner::NestReport report = scanner.scan(*loop);
-        if (report.all_calls_pure && report.listing5_violations.empty()) {
-          result_.scop_loops.push_back(
-              ScopCandidate{&fn, loop, report.contains_calls});
+        ScopScanner::NestReport report = scanner.scan(*loop);
+        const std::vector<Listing5Conflict> conflicts =
+            listing5_conflicts(report.roots);
+        if (report.all_calls_pure && conflicts.empty()) {
+          result_.scop_loops.push_back(ScopCandidate{
+              &fn, loop, report.contains_calls, std::move(report.roots)});
           inside_marked = true;
-        } else if (!report.listing5_violations.empty()) {
-          for (const auto& v : report.listing5_violations) {
+        } else if (!conflicts.empty()) {
+          for (const Listing5Conflict& v : conflicts) {
             // Implicit-global roots may be scalars, not arrays.
             const std::string what =
                 v.implicit_global
@@ -519,9 +519,9 @@ void PurityChecker::detect_scops(const FunctionDecl& fn) {
                           "' is passed to a pure function and written "
                           "in the same loop nest (Listing 5 rule)";
             if (options_.listing5_violation_is_error) {
-              diags_.error(v.loc, "purity", what);
+              diags_.error(loop->loc, "purity", what);
             } else {
-              diags_.warning(v.loc, "purity",
+              diags_.warning(loop->loc, "purity",
                              "skipping loop: '" + v.name +
                                  "' is both pure-call " +
                                  (v.implicit_global ? "global read"

@@ -49,10 +49,45 @@ struct PurityOptions {
   std::map<std::string, std::set<std::string>> assumed_global_reads;
 };
 
+/// The names the Listing-5 rule compares, collected over one loop nest.
+/// Name-based on purpose: §3.4 documents that aliases evade the rule
+/// (Listing 6).
+struct NestRoots {
+  /// Pointer/array variables appearing in pure-call arguments.
+  std::set<std::string> call_args;
+  /// Globals read by the inferred-pure functions the nest calls
+  /// (inference provenance).
+  std::set<std::string> implicit_globals;
+  /// Roots written through a subscript or dereference (`a[i] = ...`).
+  std::set<std::string> writes;
+  /// Globals written, through a subscript or bare.
+  std::set<std::string> global_writes;
+
+  /// Adds `other`'s names: the roots of the two nests as one nest.
+  void merge(const NestRoots& other);
+};
+
+struct Listing5Conflict {
+  std::string name;
+  /// The conflict came through an inferred function's global read, not a
+  /// literal call argument.
+  bool implicit_global = false;
+};
+
+/// The Listing-5 rule over one nest's roots: an array both written and
+/// passed to a pure call, or a global both written and read by an
+/// inferred-pure callee without being passed. Empty when the nest obeys
+/// the rule.
+[[nodiscard]] std::vector<Listing5Conflict> listing5_conflicts(
+    const NestRoots& roots);
+
 struct ScopCandidate {
   const FunctionDecl* function = nullptr;
   const ForStmt* loop = nullptr;  // outermost loop of the nest
   bool contains_calls = false;    // false = plain affine nest, no calls
+  /// What the nest passes to pure calls and writes, so that merging it
+  /// with a sibling nest (loop fusion) can re-apply the Listing-5 rule.
+  NestRoots roots;
 };
 
 struct PurityResult {

@@ -1,14 +1,12 @@
 /* purec_rt.h — the one source of the purec runtime, in C11 with GCC
- * __atomic builtins.
+ * __atomic builtins. Parallel loops run on OpenMP; this header holds the
+ * rest: the stats stream, the histogram cell math, the trace-array
+ * append, the memo table and the --instrument counters.
  *
- * Two consumers share this file:
- *   - purecc embeds its sections into the OpenMP C it emits, so that
- *     output stays self-contained (the build turns this header into a
- *     string; see src/emit/runtime_sections.h);
- *   - the C++ runtime (src/runtime) includes it and calls the same
- *     functions, so the shared memo file layout, the histogram cell math,
- *     the stats stream and the trace-array append are one definition, not
- *     twins kept in sync by review.
+ * purecc embeds its sections into the OpenMP C it emits, so that output
+ * stays self-contained (the build turns this header into a string; see
+ * src/emit/runtime_sections.h). tests/runtime_test.cpp includes it and
+ * calls the C API directly.
  *
  * Each section sits between a begin marker and an end marker; purecc
  * copies the bracketed text, markers included, and only for the sections
@@ -106,9 +104,9 @@ static inline uint64_t purec_hist_pct(const uint64_t* purec_hist,
  * empty file starts a new array (*purec_first = 1); an existing file
  * ending in ']' is positioned ON that bracket so the dump's leading ','
  * overwrites it and the array keeps growing. Any other tail is appended
- * to as a fresh array — never corrupt what we do not understand. Both
- * the emitted --instrument dump and the C++ PUREC_RT_TRACE dump open
- * their path here, so sequential dumps to one path form one timeline. */
+ * to as a fresh array — never corrupt what we do not understand. Every
+ * --instrument dump opens its path here, so sequential dumps to one path
+ * form one timeline. */
 static inline FILE* purec_trace_open(const char* purec_path,
                                      int* purec_first) {
   FILE* purec_out;
@@ -632,17 +630,16 @@ __attribute__((constructor)) static void purec_memo_init(void) {
 #include <time.h>
 /* --instrument runtime: per-region invocation/wall-time counters,
  * per-worker chunk tallies, and a purec_hist_* wall-time histogram per
- * region (the same cells as the C++ runtime's purec::rt::stats, so
- * percentiles agree across a mixed binary). Workers bump their own
- * cache-line-padded cell with a relaxed __atomic add (the per-CPU counter
- * pattern), so the hot path is one padded add per claimed outer
- * iteration — no lock, no shared line. The atexit dump writes a human
- * summary (with p50/p90/p99) to purec_stats_out(); with PUREC_TRACE=FILE
- * set it instead writes Chrome trace-event JSON (one "X" duration event
- * per region execution carrying the region's stable id in args, one "C"
- * counter event per region with the per-worker totals, "M" metadata
- * naming process and thread) for chrome://tracing or Perfetto, appended
- * cooperatively through purec_trace_open(). */
+ * region. Workers bump their own cache-line-padded cell with a relaxed
+ * __atomic add (the per-CPU counter pattern), so the hot path is one
+ * padded add per claimed outer iteration — no lock, no shared line. The
+ * atexit dump writes a human summary (with p50/p90/p99) to
+ * purec_stats_out(); with PUREC_TRACE=FILE set it instead writes Chrome
+ * trace-event JSON (one "X" duration event per region execution carrying
+ * the region's stable id in args, one "C" counter event per region with
+ * the per-worker totals, "M" metadata naming process and thread) for
+ * chrome://tracing or Perfetto, appended cooperatively through
+ * purec_trace_open(). */
 typedef unsigned long long purec_instr_u64;
 #define PUREC_INSTR_MAX_WORKERS 64
 #define PUREC_INSTR_MAX_REGIONS 64

@@ -1,9 +1,10 @@
 // Trace analysis for `purecc trace` — ingests a Chrome trace-event array
-// (the cooperative file both runtimes append to: emitted-C --instrument
-// regions on pid 1, the C++ runtime's PUREC_RT_TRACE events on pid 2) and
-// optionally the compile-time JSON report (report_version >= 3), joining
-// the two through the stable `region_id` the compiler stamps on scops and
-// the runtimes stamp on events. The result answers the questions a
+// (the cooperative file --instrument runs append to: region events and
+// per-worker chunk counters on pid 1; pid-2 chunk/steal/barrier events
+// are parsed too, though no current runtime writes them) and optionally
+// the compile-time JSON report (report_version >= 3), joining the two
+// through the stable `region_id` the compiler stamps on scops and the
+// runtime stamps on events. The result answers the questions a
 // schedule experiment asks: where did the wall time go, how imbalanced
 // was the work split, how much stealing absorbed it, and which compiler
 // decision (schedule clause, fission, reduction) produced that behavior.

@@ -1,7 +1,6 @@
 #include "transform/pure_chain.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "ast/walk.h"
 #include "emit/c_printer.h"
@@ -29,76 +28,26 @@ namespace {
 /// children, if branches, loop bodies). Returns nullptr if absent.
 StmtPtr* find_stmt_slot(CompoundStmt& root, const Stmt* target) {
   StmtPtr* found = nullptr;
-  std::function<void(StmtPtr&)> visit = [&](StmtPtr& slot) {
-    if (found != nullptr || !slot) return;
-    if (slot.get() == target) {
-      found = &slot;
-      return;
-    }
-    switch (slot->kind()) {
-      case StmtKind::Compound:
-        for (StmtPtr& child : static_cast<CompoundStmt&>(*slot).stmts) {
-          visit(child);
-        }
-        return;
-      case StmtKind::If: {
-        auto& n = static_cast<IfStmt&>(*slot);
-        visit(n.then_stmt);
-        if (n.else_stmt) visit(n.else_stmt);
-        return;
-      }
-      case StmtKind::For: {
-        auto& n = static_cast<ForStmt&>(*slot);
-        if (n.body) visit(n.body);
-        return;
-      }
-      case StmtKind::While:
-        visit(static_cast<WhileStmt&>(*slot).body);
-        return;
-      case StmtKind::DoWhile:
-        visit(static_cast<DoWhileStmt&>(*slot).body);
-        return;
-      default:
-        return;
-    }
-  };
-  for (StmtPtr& child : root.stmts) visit(child);
+  for (StmtPtr& child : root.stmts) {
+    for_each_stmt_slot(child, [&](StmtPtr& slot) {
+      if (found == nullptr && slot.get() == target) found = &slot;
+      return found != nullptr;
+    });
+  }
   return found;
 }
 
 /// Finds the compound statement that directly owns `target`.
 CompoundStmt* find_owning_compound(Stmt& s, const Stmt* target) {
-  if (auto* block = stmt_cast<CompoundStmt>(&s)) {
-    for (StmtPtr& child : block->stmts) {
-      if (child.get() == target) return block;
+  CompoundStmt* owner = nullptr;
+  for_each_stmt(s, [&](Stmt& sub) {
+    auto* block = stmt_cast<CompoundStmt>(&sub);
+    if (owner != nullptr || block == nullptr) return;
+    for (const StmtPtr& child : block->stmts) {
+      if (child.get() == target) owner = block;
     }
-    for (StmtPtr& child : block->stmts) {
-      if (CompoundStmt* hit = find_owning_compound(*child, target)) {
-        return hit;
-      }
-    }
-    return nullptr;
-  }
-  switch (s.kind()) {
-    case StmtKind::If: {
-      auto& n = static_cast<IfStmt&>(s);
-      if (CompoundStmt* hit = find_owning_compound(*n.then_stmt, target)) {
-        return hit;
-      }
-      return n.else_stmt ? find_owning_compound(*n.else_stmt, target)
-                         : nullptr;
-    }
-    case StmtKind::For: {
-      auto& n = static_cast<ForStmt&>(s);
-      return n.body ? find_owning_compound(*n.body, target) : nullptr;
-    }
-    case StmtKind::While:
-      return find_owning_compound(*static_cast<WhileStmt&>(s).body, target);
-    case StmtKind::DoWhile:
-      return find_owning_compound(*static_cast<DoWhileStmt&>(s).body, target);
-    default:
-      return nullptr;
-  }
+  });
+  return owner;
 }
 
 /// What a statement executed *after* the nest does to the iterator:
@@ -357,40 +306,15 @@ void mark_scops(TranslationUnit& tu,
 /// Removes the scop marker pragmas again (the polyhedral step consumes
 /// candidates directly; the markers are the PC-CC artifact).
 void scrub_scop_markers(Stmt& s) {
-  if (auto* block = stmt_cast<CompoundStmt>(&s)) {
-    for (auto it = block->stmts.begin(); it != block->stmts.end();) {
-      const auto* pragma = stmt_cast<PragmaStmt>(it->get());
-      if (pragma != nullptr && (pragma->text == "#pragma scop" ||
-                                pragma->text == "#pragma endscop")) {
-        it = block->stmts.erase(it);
-      } else {
-        scrub_scop_markers(**it);
-        ++it;
-      }
+  for_each_stmt(s, [](Stmt& sub) {
+    if (auto* block = stmt_cast<CompoundStmt>(&sub)) {
+      std::erase_if(block->stmts, [](const StmtPtr& child) {
+        const auto* pragma = stmt_cast<PragmaStmt>(child.get());
+        return pragma != nullptr && (pragma->text == "#pragma scop" ||
+                                     pragma->text == "#pragma endscop");
+      });
     }
-    return;
-  }
-  switch (s.kind()) {
-    case StmtKind::If: {
-      auto& n = static_cast<IfStmt&>(s);
-      scrub_scop_markers(*n.then_stmt);
-      if (n.else_stmt) scrub_scop_markers(*n.else_stmt);
-      return;
-    }
-    case StmtKind::For: {
-      auto& n = static_cast<ForStmt&>(s);
-      if (n.body) scrub_scop_markers(*n.body);
-      return;
-    }
-    case StmtKind::While:
-      scrub_scop_markers(*static_cast<WhileStmt&>(s).body);
-      return;
-    case StmtKind::DoWhile:
-      scrub_scop_markers(*static_cast<DoWhileStmt&>(s).body);
-      return;
-    default:
-      return;
-  }
+  });
 }
 
 void unmark_scops(TranslationUnit& tu) {
@@ -404,17 +328,10 @@ void unmark_scops(TranslationUnit& tu) {
 /// Renames every identifier `from` to `to` in an expression/statement
 /// subtree (used to merge the second loop's body onto the first loop's
 /// iterator; callers have already rejected shadowing and capture).
-void rename_identifier(Expr& e, const std::string& from,
+template <typename Node>  // Expr or Stmt
+void rename_identifier(Node& node, const std::string& from,
                        const std::string& to) {
-  for_each_expr(e, [&](Expr& sub) {
-    auto* ident = expr_cast<IdentExpr>(&sub);
-    if (ident != nullptr && ident->name == from) ident->name = to;
-  });
-}
-
-void rename_identifier(Stmt& s, const std::string& from,
-                       const std::string& to) {
-  for_each_expr(s, [&](Expr& sub) {
+  for_each_expr(node, [&](Expr& sub) {
     auto* ident = expr_cast<IdentExpr>(&sub);
     if (ident != nullptr && ident->name == from) ident->name = to;
   });
@@ -727,6 +644,28 @@ ChainArtifacts run_pure_chain(const std::string& source,
         continue;
       }
 
+      // The dependence analysis does not see what a pure call reads
+      // through its pointer arguments, so the fused body must pass the
+      // Listing-5 rule the scop scan applied to each nest on its own:
+      // reading `b` through `g(b)` in the iteration that precedes the
+      // other nest's write of `b` would reorder a read after a write.
+      NestRoots fused_roots = first.roots;
+      fused_roots.merge(second.roots);
+      const std::vector<Listing5Conflict> conflicts =
+          listing5_conflicts(fused_roots);
+      if (!conflicts.empty()) {
+        const Listing5Conflict& c = conflicts.front();
+        reject(c.implicit_global
+                   ? "global '" + c.name +
+                         "' is read by an inferred-pure function called in "
+                         "one nest and written in the other (Listing 5 "
+                         "rule, inference provenance)"
+                   : "array '" + c.name +
+                         "' is passed to a pure function in one nest and "
+                         "written in the other (Listing 5 rule)");
+        continue;
+      }
+
       // Commit: merge the real second body (renamed) into the first loop,
       // drop the second loop, and fold its substituted calls (their saved
       // originals reference the old iterator) into the first candidate.
@@ -740,6 +679,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       }
       all_substitutions.erase(all_substitutions.begin() +
                               static_cast<std::ptrdiff_t>(i + 1));
+      // A third sibling is checked against both nests.
+      scop_candidates[i].roots = std::move(fused_roots);
       fused_counts[i] += 1 + fused_counts[i + 1];
       fused_counts.erase(fused_counts.begin() +
                          static_cast<std::ptrdiff_t>(i + 1));

@@ -12,14 +12,19 @@
 //      located failure reason, memoization and inliner sections.
 //   3. Renderer: render_report_text over the same structure reproduces
 //      the classic --report lines.
+//   4. Fusion: pairs that break the Listing-5 rule across two nests are
+//      recorded as rejected, with the rule as the reason.
 #include "transform/chain_report.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "e2e/e2e_fixtures.h"
 #include "transform/pure_chain.h"
@@ -274,6 +279,79 @@ TEST(ChainReportSchema, InstrumentedRunListsItsRegions) {
     EXPECT_NE(region.as_string().find(':'), std::string::npos)
         << region.as_string();
   }
+}
+
+/// The fusion decisions of `report` as (fused, reason) pairs.
+std::vector<std::pair<bool, std::string>> fusion_trail(
+    const json::Value& report) {
+  std::vector<std::pair<bool, std::string>> trail;
+  for (const json::Value& d : *report.find("fusion_decisions")->as_array()) {
+    const json::Value* reason = d.find("reason");
+    trail.emplace_back(d.find("fused")->as_bool(),
+                       reason->is_null() ? "" : reason->as_string());
+  }
+  return trail;
+}
+
+TEST(ChainReportFusion, PureCallReaderOfAWrittenArrayIsNotFused) {
+  // The writer nest and the nest that reads the array only through a
+  // pure call (a pointer argument, or a global an inferred-pure callee
+  // reads) must stay apart, and the report must say which rule kept
+  // them apart.
+  const std::vector<Fixture> all = e2e::all_fixtures();
+  for (const auto& [name, reason] :
+       {std::pair{"pure_reader_after_writer",
+                  "array 'b' is passed to a pure function in one nest and "
+                  "written in the other (Listing 5 rule)"},
+        std::pair{"matmul_row_setup",
+                  "array 'A' is passed to a pure function in one nest and "
+                  "written in the other (Listing 5 rule)"},
+        std::pair{"global_reader_after_writer",
+                  "global 'gain' is read by an inferred-pure function "
+                  "called in one nest and written in the other (Listing 5 "
+                  "rule, inference provenance)"}}) {
+    SCOPED_TRACE(name);
+    const Fixture* fixture = find_fixture(all, name);
+    ASSERT_NE(fixture, nullptr);
+    const ChainOptions options = fixture_options(*fixture);
+    const ChainArtifacts artifacts =
+        run_pure_chain(fixture_source(*fixture), options);
+    ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+    const auto trail = fusion_trail(build_chain_report(artifacts, options));
+    EXPECT_NE(std::find(trail.begin(), trail.end(),
+                        std::pair{false, std::string(reason)}),
+              trail.end())
+        << "no rejected fusion with reason: " << reason;
+    for (const auto& [fused, why] : trail) EXPECT_FALSE(fused) << why;
+  }
+}
+
+TEST(ChainReportFusion, AThirdSiblingIsCheckedAgainstBothFusedNests) {
+  // c and b are written by two independent nests that fuse; the third
+  // nest passes b to a pure call, so it must not join the fused loop even
+  // though the first nest alone never writes b.
+  const char* source =
+      "pure int g(pure int* b, int k) {\n"
+      "  return b[k];\n"
+      "}\n"
+      "void k(int* a, int* b, int* c) {\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    c[i] = 2 * i;\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    b[i] = i;\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    a[i] = g((pure int*)b, 99 - i);\n"
+      "}\n";
+  const ChainOptions options;
+  const ChainArtifacts artifacts = run_pure_chain(source, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  const auto trail = fusion_trail(build_chain_report(artifacts, options));
+  ASSERT_EQ(trail.size(), 2u);
+  EXPECT_TRUE(trail[0].first) << trail[0].second;
+  EXPECT_FALSE(trail[1].first);
+  EXPECT_EQ(trail[1].second,
+            "array 'b' is passed to a pure function in one nest and written "
+            "in the other (Listing 5 rule)");
 }
 
 // -- Text renderer over the same structure ----------------------------------

@@ -1032,6 +1032,112 @@ int main() {
 }
 )";
 
+// Sibling nests where the first writes an array and the second only
+// passes it to a pure call. The dependence analysis does not see what the
+// call reads through its pointer argument, so fusing the pair would read
+// b[99 - i] before the fused loop has written it; the chain must keep the
+// loops apart (Listing-5 rule across the pair). A wrong fusion returns a
+// different checksum even at one thread.
+inline constexpr const char* kRunPureReaderAfterWriter = R"(
+#include <stdio.h>
+
+pure int g(pure int* b, int k) {
+  return b[k];
+}
+
+int main() {
+  int a[100];
+  int b[100];
+  for (int i = 0; i < 100; i++)
+    b[i] = i;
+  for (int i = 0; i < 100; i++)
+    a[i] = g((pure int*)b, 99 - i);
+  int checksum = 0;
+  for (int i = 0; i < 100; i++)
+    checksum += a[i] * (i % 7 + 1);
+  printf("checksum %d\n", checksum);
+  return 0;
+}
+)";
+
+// The keyword-free twin under --infer-pure: the reader nest never names
+// `gain`, the inferred-pure weigh() reads it as a global. Inference
+// provenance makes that read part of the Listing-5 rule, so the nests
+// must stay apart here too.
+inline constexpr const char* kRunGlobalReaderAfterWriter = R"(
+#include <stdio.h>
+
+float gain[64];
+
+float weigh(int k) {
+  return gain[k] * 2.0f;
+}
+
+int main() {
+  float out[64];
+  for (int i = 0; i < 64; i++)
+    gain[i] = (float)i;
+  for (int i = 0; i < 64; i++)
+    out[i] = weigh(63 - i);
+  double checksum = 0.0;
+  for (int i = 0; i < 64; i++)
+    checksum += (double)out[i] * (i % 3 + 1);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+// The paper's matmul (Listing 7) after a loop that points the row arrays
+// into flat buffers. The product loop reads the rows only through
+// dot()'s pure pointer arguments, so fusing it into the row setup would
+// read Bt[j] before row j is set (a null row: the binary crashes even at
+// one thread). The chain must keep the two nests apart.
+inline constexpr const char* kRunMatmulRowSetup = R"(
+#include <stdio.h>
+#include <stdlib.h>
+
+float **A, **Bt, **C;
+
+pure float mult(float a, float b) {
+  return a * b;
+}
+
+pure float dot(pure float* a, pure float* b, int size) {
+  float res = 0.0f;
+  for (int i = 0; i < size; ++i)
+    res += mult(a[i], b[i]);
+  return res;
+}
+
+int main() {
+  int n = 48;
+  float* abuf = (float*)malloc(n * n * sizeof(float));
+  float* bbuf = (float*)malloc(n * n * sizeof(float));
+  float* cbuf = (float*)malloc(n * n * sizeof(float));
+  A = (float**)malloc(n * sizeof(float*));
+  Bt = (float**)malloc(n * sizeof(float*));
+  C = (float**)malloc(n * sizeof(float*));
+  for (int k = 0; k < n * n; k++) {
+    abuf[k] = (float)((k * 7 + 1) % 5);
+    bbuf[k] = (float)((k * 3 + 2) % 4);
+  }
+  for (int i = 0; i < n; i++) {
+    A[i] = abuf + i * n;
+    Bt[i] = bbuf + i * n;
+    C[i] = cbuf + i * n;
+  }
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < n; j++)
+      C[i][j] = dot((pure float*)A[i], (pure float*)Bt[j], n);
+  double checksum = 0.0;
+  for (int i = 0; i < n; i++)
+    for (int j = 0; j < n; j++)
+      checksum += (double)C[i][j] * ((i + 2 * j) % 3 + 1);
+  printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
 /// The complete corpus: every fixture in tests/test_sources.h plus every
 /// paper listing checked in under assets/c/.
 inline std::vector<Fixture> all_fixtures() {
@@ -1103,6 +1209,14 @@ inline std::vector<Fixture> all_fixtures() {
       // Collapse legality: a tiled band with a column-carried dependence
       // keeps the pragma on its outer tile loop alone.
       {"row_carried", kRunRowCarried, false, kRunRowCarried, true, true},
+      // Fusion legality across a pure call's pointer arguments: the
+      // writer nest and the pure-call reader nest must not fuse.
+      {"pure_reader_after_writer", kRunPureReaderAfterWriter, false,
+       kRunPureReaderAfterWriter, true, true},
+      {"matmul_row_setup", kRunMatmulRowSetup, false, kRunMatmulRowSetup,
+       true, true},
+      {"global_reader_after_writer", kRunGlobalReaderAfterWriter, false,
+       kRunGlobalReaderAfterWriter, true, true, /*infer=*/true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

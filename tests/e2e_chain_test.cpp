@@ -11,7 +11,8 @@
 //   2. Differential: runnable fixtures are compiled with the host gcc
 //      (-fopenmp; skipped when gcc is unavailable) in a serial reference
 //      configuration and in every parallel configuration, and the printed
-//      checksums must match exactly.
+//      checksums must match exactly, at one thread and at one thread per
+//      core.
 //
 // Fixtures the chain must reject (Listing 2's invalid operations, Listing
 // 5's write-target argument) pin the rejection in every configuration.
@@ -152,59 +153,82 @@ bool gcc_available() {
   return ok;
 }
 
-/// Run-output cache keyed by the exact emitted C. Many configurations emit
-/// byte-identical programs (tiling that does not apply, --inline-pure with
-/// nothing to inline, the shared serial reference), and every chain run is
-/// deterministic — so one gcc compile+run per distinct source suffices.
+/// Binaries and run outputs keyed by the exact emitted C (outputs also by
+/// the run's environment). Many configurations emit byte-identical
+/// programs (tiling that does not apply, --inline-pure with nothing to
+/// inline, the shared serial reference), and every chain run is
+/// deterministic — so one gcc compile per distinct source suffices.
 /// Cuts the harness's gcc invocations roughly in half as the corpus grows.
-std::map<std::string, std::string>& run_output_cache() {
-  static auto* cache = new std::map<std::string, std::string>();
+struct RunCache {
+  std::map<std::string, std::string> binaries;
+  std::map<std::string, std::string> outputs;
+};
+
+RunCache& run_cache() {
+  static auto* cache = new RunCache();
   return *cache;
 }
 
-/// Compiles `source` with gcc -fopenmp and runs it; returns stdout+stderr.
-/// Returns an empty string (with test failures recorded) when the compile
-/// or run fails. Results are memoized on the source text.
-std::string compile_and_run(const std::string& source,
-                            const std::string& tag) {
-  const auto cached = run_output_cache().find(source);
-  if (cached != run_output_cache().end()) return cached->second;
-  const std::string dir = ::testing::TempDir();
-  const std::string c_path = dir + "/purec_e2e_" + tag + ".c";
-  const std::string bin_path = dir + "/purec_e2e_" + tag + ".bin";
-  {
-    std::ofstream out(c_path);
-    out << source;
-  }
-  const std::string compile_cmd = "gcc -O2 -fopenmp -o " +
-                                  shell_quote(bin_path) + " " +
-                                  shell_quote(c_path) + " -lm 2>&1";
-  FILE* compile = popen(compile_cmd.c_str(), "r");
-  EXPECT_NE(compile, nullptr);
-  if (compile == nullptr) return {};
-  std::string compile_output;
-  std::array<char, 256> buf{};
-  while (fgets(buf.data(), buf.size(), compile) != nullptr) {
-    compile_output += buf.data();
-  }
-  const int compile_rc = pclose(compile);
-  EXPECT_EQ(compile_rc, 0) << "gcc failed:\n"
-                           << compile_output << "\nsource:\n"
-                           << source;
-  if (compile_rc != 0) return {};
-
-  FILE* run = popen((shell_quote(bin_path) + " 2>&1").c_str(), "r");
-  EXPECT_NE(run, nullptr);
-  if (run == nullptr) return {};
+/// Runs `cmd` through the shell; returns stdout+stderr and sets *rc.
+std::string capture(const std::string& cmd, int* rc) {
+  *rc = -1;
+  FILE* p = popen((cmd + " 2>&1").c_str(), "r");
+  EXPECT_NE(p, nullptr) << cmd;
+  if (p == nullptr) return {};
   std::string output;
-  while (fgets(buf.data(), buf.size(), run) != nullptr) {
+  std::array<char, 256> buf{};
+  while (fgets(buf.data(), buf.size(), p) != nullptr) {
     output += buf.data();
   }
-  const int run_rc = pclose(run);
-  EXPECT_EQ(run_rc, 0) << "binary failed:\n" << output;
+  *rc = pclose(p);
+  return output;
+}
+
+/// Runs `cmd`, expecting exit status 0; returns stdout+stderr.
+std::string run_ok(const std::string& cmd) {
+  int rc = 0;
+  const std::string output = capture(cmd, &rc);
+  EXPECT_EQ(rc, 0) << cmd << "\n" << output;
+  return output;
+}
+
+/// Compiles `source` with gcc -fopenmp (once per distinct source) and
+/// runs it with `env` (e.g. "OMP_NUM_THREADS=1 ") in front of the command;
+/// returns stdout+stderr. Returns an empty string (with test failures
+/// recorded) when the compile or run fails.
+std::string compile_and_run(const std::string& source, const std::string& tag,
+                            const std::string& env = "") {
+  RunCache& cache = run_cache();
+  const std::string key = env + "\n" + source;
+  const auto cached = cache.outputs.find(key);
+  if (cached != cache.outputs.end()) return cached->second;
+  auto bin = cache.binaries.find(source);
+  if (bin == cache.binaries.end()) {
+    const std::string dir = ::testing::TempDir();
+    const std::string c_path = dir + "/purec_e2e_" + tag + ".c";
+    const std::string bin_path = dir + "/purec_e2e_" + tag + ".bin";
+    {
+      std::ofstream out(c_path);
+      out << source;
+    }
+    int compile_rc = 0;
+    const std::string compile_output =
+        capture("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
+                    shell_quote(c_path) + " -lm",
+                &compile_rc);
+    EXPECT_EQ(compile_rc, 0) << "gcc failed:\n"
+                             << compile_output << "\nsource:\n"
+                             << source;
+    if (compile_rc != 0) return {};
+    bin = cache.binaries.emplace(source, bin_path).first;
+  }
+
+  int run_rc = 0;
+  const std::string output = capture(env + shell_quote(bin->second), &run_rc);
+  EXPECT_EQ(run_rc, 0) << "binary failed (" << env << "):\n" << output;
   // Only successful runs are cacheable: a crashed binary must fail the
   // exit-status assertion again in every configuration that hits it.
-  if (run_rc == 0) run_output_cache()[source] = output;
+  if (run_rc == 0) cache.outputs[key] = output;
   return output;
 }
 
@@ -286,12 +310,18 @@ TEST_P(E2EChainTest, SerialVsParallelDifferential) {
       continue;
     }
     ASSERT_TRUE(parallel.ok) << parallel.diagnostics.format();
-    const std::string output = compile_and_run(
-        parallel.final_source,
-        std::string(fixture.name) + "_" + config.name);
-    EXPECT_EQ(output, reference)
-        << "parallel binary diverged from serial reference\n"
-        << parallel.final_source;
+    // One thread shows a wrong transformation (an illegal fusion, say)
+    // without any race; the OpenMP default, one thread per core, shows
+    // the races too.
+    for (const char* threads : {"OMP_NUM_THREADS=1 ", ""}) {
+      SCOPED_TRACE(*threads != 0 ? threads : "one thread per core");
+      const std::string output = compile_and_run(
+          parallel.final_source,
+          std::string(fixture.name) + "_" + config.name, threads);
+      EXPECT_EQ(output, reference)
+          << "parallel binary diverged from serial reference\n"
+          << parallel.final_source;
+    }
   }
 }
 
@@ -339,23 +369,11 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
     std::ofstream out(c_path);
     out << instrumented.final_source;
   }
-  const auto run_cmd = [](const std::string& cmd) {
-    std::string output;
-    FILE* p = popen((cmd + " 2>&1").c_str(), "r");
-    EXPECT_NE(p, nullptr) << cmd;
-    if (p == nullptr) return output;
-    std::array<char, 256> buf{};
-    while (fgets(buf.data(), buf.size(), p) != nullptr) {
-      output += buf.data();
-    }
-    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
-    return output;
-  };
-  run_cmd("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
-          shell_quote(c_path) + " -lm");
+  run_ok("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
+         shell_quote(c_path) + " -lm");
 
   // Plain run: human counter summary on stderr + the untouched checksum.
-  const std::string summary_run = run_cmd(shell_quote(bin_path));
+  const std::string summary_run = run_ok(shell_quote(bin_path));
   EXPECT_NE(summary_run.find(reference), std::string::npos) << summary_run;
   EXPECT_NE(summary_run.find("purec-instr["), std::string::npos)
       << summary_run;
@@ -367,15 +385,15 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
 
   // Traced run: the summary is replaced by a Chrome trace-event file.
   std::remove(trace_path.c_str());
-  const std::string traced_run = run_cmd(
+  const std::string traced_run = run_ok(
       "PUREC_TRACE=" + shell_quote(trace_path) + " " +
       shell_quote(bin_path));
   EXPECT_EQ(traced_run, reference) << traced_run;
   const std::string trace = read_file(trace_path);
   ASSERT_FALSE(trace.empty()) << "PUREC_TRACE wrote nothing";
   // Cooperative array format: a bare JSON array of events, opened with
-  // '[' and closed with ']' after every dump, so a second writer (the
-  // C++ runtime's PUREC_RT_TRACE dump) can splice its events in.
+  // '[' and closed with ']' after every dump, so a second instrumented
+  // run can splice its events in.
   EXPECT_EQ(trace.rfind("[", 0), 0u) << trace.substr(0, 120);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos)
       << "no metadata events in the trace";
@@ -391,7 +409,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
 
   // A second traced run against the SAME path must append cooperatively:
   // still one valid array, now with both runs' events.
-  const std::string twice_run = run_cmd(
+  const std::string twice_run = run_ok(
       "PUREC_TRACE=" + shell_quote(trace_path) + " " +
       shell_quote(bin_path));
   EXPECT_EQ(twice_run, reference) << twice_run;
@@ -417,7 +435,7 @@ TEST(E2EInstrument, InstrumentedDifferentialAndChromeTrace) {
   const std::string stats_path = dir + "/purec_e2e_instr_stats.log";
   std::remove(stats_path.c_str());
   for (int run = 0; run < 2; ++run) {
-    const std::string stats_run = run_cmd(
+    const std::string stats_run = run_ok(
         "PUREC_STATS_FILE=" + shell_quote(stats_path) + " " +
         shell_quote(bin_path));
     EXPECT_EQ(stats_run, reference) << stats_run;
@@ -472,20 +490,8 @@ TEST(E2EMemoShared, TwoProcessesShareOnePersistentCacheExactly) {
     std::ofstream out(c_path);
     out << memo.final_source;
   }
-  const auto run_cmd = [](const std::string& cmd) {
-    std::string output;
-    FILE* p = popen((cmd + " 2>&1").c_str(), "r");
-    EXPECT_NE(p, nullptr) << cmd;
-    if (p == nullptr) return output;
-    std::array<char, 256> buf{};
-    while (fgets(buf.data(), buf.size(), p) != nullptr) {
-      output += buf.data();
-    }
-    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << output;
-    return output;
-  };
-  run_cmd("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
-          shell_quote(c_path) + " -lm");
+  run_ok("gcc -O2 -fopenmp -o " + shell_quote(bin_path) + " " +
+         shell_quote(c_path) + " -lm");
 
   // Two concurrent attachers racing on a fresh file: whoever wins the
   // flock initializes it, the other validates and joins. The compound
@@ -500,7 +506,7 @@ TEST(E2EMemoShared, TwoProcessesShareOnePersistentCacheExactly) {
         << one << " > " << shell_quote(out_b) << " 2>&1 &\n"
         << "wait\n";
   }
-  run_cmd("sh " + shell_quote(script_path));
+  run_ok("sh " + shell_quote(script_path));
   std::remove(script_path.c_str());
   EXPECT_EQ(read_file(out_a), reference)
       << "first shared-cache process diverged from the serial reference";
@@ -509,7 +515,7 @@ TEST(E2EMemoShared, TwoProcessesShareOnePersistentCacheExactly) {
 
   // The file now holds every distinct key: a third process must match
   // the reference AND report zero misses in its stats dump.
-  const std::string warm = run_cmd(
+  const std::string warm = run_ok(
       env + " PUREC_MEMO_STATS=1 " + shell_quote(bin_path));
   EXPECT_NE(warm.find(reference), std::string::npos) << warm;
   EXPECT_NE(warm.find("purec-memo[shade] hits=4096 misses=0"),
@@ -523,7 +529,7 @@ TEST(E2EMemoShared, TwoProcessesShareOnePersistentCacheExactly) {
     std::ofstream out(cache_path, std::ios::binary | std::ios::trunc);
     out << "not a purec memo cache";
   }
-  const std::string corrupt_run = run_cmd(env + " " + shell_quote(bin_path));
+  const std::string corrupt_run = run_ok(env + " " + shell_quote(bin_path));
   EXPECT_EQ(corrupt_run, reference)
       << "corrupt cache file must degrade to a private table";
   std::remove(cache_path.c_str());
@@ -538,7 +544,9 @@ TEST(E2ECorpus, RegionFixturesKeepRunnableDifferentials) {
   for (const char* name :
        {"guarded_update", "while_loop", "imperfect_nest", "strided_lower",
         "dot_reduce", "min_reduce", "guarded_reduce", "fission_split",
-        "fused_siblings", "private_tmp", "disjunctive_guard"}) {
+        "fused_siblings", "private_tmp", "disjunctive_guard",
+        "pure_reader_after_writer", "matmul_row_setup",
+        "global_reader_after_writer"}) {
     const auto it = std::find_if(
         fixtures.begin(), fixtures.end(),
         [&](const Fixture& f) { return std::string(f.name) == name; });

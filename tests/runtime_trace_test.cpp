@@ -1,263 +1,94 @@
-// purec::rt::trace behind -DPUREC_RT_TRACE=1: like runtime_stats_test,
-// this executable recompiles the hooked runtime TUs with the trace knob on
-// (tests/CMakeLists.txt), so chunk/steal/barrier/memo events stream here
-// while the production archive keeps the hooks compiled out. Assertions
-// cover the ring (overflow -> dropped count), the Chrome-array schema of
-// the writer, the cooperative append that merges sequential dumps into one
-// valid JSON array, and the live parallel_for/memo hooks.
-#include "runtime/trace.h"
-
+// Tests of the cooperative Chrome-trace append (PUREC_TRACE) of the runtime
+// the emitted C carries, src/runtime/c/purec_rt.h: dumps of several
+// instrumented processes land in one JSON array through purec_trace_open.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
-#include <unistd.h>
-
-#include "runtime/memo_cache.h"
-#include "runtime/parallel_for.h"
-#include "runtime/thread_pool.h"
+#include "runtime/c/purec_rt.h"
 #include "support/json.h"
 
-namespace purec::rt {
+namespace purec {
 namespace {
 
-static_assert(trace::kEnabled,
-              "runtime_trace_test must be built with -DPUREC_RT_TRACE=1");
-
-std::string slurp(std::FILE* file) {
-  std::rewind(file);
+std::string read_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return {};
   std::string text;
   char buffer[4096];
   std::size_t got = 0;
   while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
     text.append(buffer, got);
   }
-  return text;
-}
-
-std::string read_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return {};
-  std::string text = slurp(file);
   std::fclose(file);
   return text;
 }
 
-std::size_t count_occurrences(const std::string& text,
-                              const std::string& needle) {
-  std::size_t count = 0;
-  for (std::size_t at = text.find(needle); at != std::string::npos;
-       at = text.find(needle, at + needle.size())) {
-    ++count;
-  }
-  return count;
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr) << path;
+  std::fwrite(text.data(), 1, text.size(), file);
+  std::fclose(file);
 }
 
-/// A scratch trace destination on disk, removed on scope exit. The env
-/// knob is redirected through set_path_for_testing so active() is true
-/// for the test body regardless of the harness environment.
-class ScopedTracePath {
- public:
-  explicit ScopedTracePath(const char* name)
-      : path_(std::string(::testing::TempDir()) + name) {
-    std::remove(path_.c_str());
-    trace::reset();
-    trace::set_path_for_testing(path_.c_str());
-  }
-  ~ScopedTracePath() {
-    trace::set_path_for_testing(nullptr);
-    trace::reset();
-    std::remove(path_.c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-TEST(RuntimeTrace, InactiveWithoutAPath) {
-  trace::set_path_for_testing(nullptr);
-  trace::reset();
-  EXPECT_FALSE(trace::active());
-  // Records while inactive are dropped silently, not stored.
-  trace::record(0, trace::EventKind::Region, 10, 20);
+/// One dump the way the emitted --instrument runtime writes it: open
+/// through purec_trace_open, '[' or ',' by its verdict, events, "\n]\n".
+int dump_one(const std::string& path, const char* process) {
+  int first = -1;
+  std::FILE* out = purec_trace_open(path.c_str(), &first);
+  if (out == nullptr) return -1;
+  std::fputc(first ? '[' : ',', out);
+  std::fprintf(out,
+               "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+               "\"args\":{\"name\":\"%s\"}}",
+               process);
+  std::fprintf(out,
+               ",\n{\"name\":\"r:1\",\"cat\":\"region\",\"ph\":\"X\","
+               "\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":1,"
+               "\"args\":{\"region_id\":0}}");
+  std::fprintf(out, "\n]\n");
+  std::fclose(out);
+  return first;
 }
 
-TEST(RuntimeTrace, WriteEventsEmitsTheChromeArraySchema) {
-  ScopedTracePath scratch("runtime_trace_schema.json");
-  ASSERT_TRUE(trace::active());
-  trace::set_region_name(7, "heat:12");
-  trace::record(0, trace::EventKind::Region, 1000, 5000, 7);
-  trace::record(1, trace::EventKind::Chunk, 1200, 2200, 7, 0, 64);
-  trace::record(1, trace::EventKind::Steal, 2200, 2200, 7, 3);
-  trace::record(2, trace::EventKind::BarrierPark, 100, 900);
-  trace::record(0, trace::EventKind::MemoHit, 50, 60);
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-
-  EXPECT_EQ(text.front(), '[') << text;
-  // Metadata names the process and every worker lane that recorded.
-  EXPECT_NE(text.find("\"ph\":\"M\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"process_name\""), std::string::npos) << text;
-  EXPECT_NE(text.find("purec-rt"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"thread_name\""), std::string::npos) << text;
-  // Duration events carry the category and the report join key.
-  EXPECT_NE(text.find("\"cat\":\"region\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"chunk\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"steal\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"barrier\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"memo\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"region_id\":7"), std::string::npos) << text;
-  EXPECT_NE(text.find("heat:12"), std::string::npos) << text;
-
-  // The whole thing must be strict JSON (our own parser is the referee).
-  std::string error;
-  const auto parsed = json::parse(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_NE(parsed->as_array(), nullptr);
-  EXPECT_GE(parsed->as_array()->size(), 5u);
-}
-
-TEST(RuntimeTrace, UnnamedRegionsRenderAsPlaceholders) {
-  ScopedTracePath scratch("runtime_trace_placeholder.json");
-  trace::record(0, trace::EventKind::Region, 0, 10, 42);
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("region 42"), std::string::npos) << text;
-}
-
-TEST(RuntimeTrace, RingOverflowCountsDroppedEvents) {
-  ScopedTracePath scratch("runtime_trace_overflow.json");
-  const std::size_t extra = 10;
-  for (std::size_t i = 0; i < trace::kRingCapacity + extra; ++i) {
-    trace::record(0, trace::EventKind::MemoMiss, i, i + 1);
-  }
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("trace ring overflow"), std::string::npos);
-  EXPECT_NE(text.find("\"dropped\":10"), std::string::npos) << text;
-  // The stored events are still all there (one ring's worth).
-  std::string error;
-  const auto parsed = json::parse(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-}
-
-TEST(RuntimeTrace, CooperativeAppendMergesSequentialDumps) {
-  ScopedTracePath scratch("runtime_trace_append.json");
-  trace::record(0, trace::EventKind::Region, 0, 100, 1);
-  trace::dump();
-  const std::string first = read_file(scratch.path());
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first.front(), '[');
-
-  // dump() cleared the rings; a second dump must splice into the existing
-  // array rather than clobbering or double-bracketing it.
-  trace::record(1, trace::EventKind::Region, 200, 300, 2);
-  trace::dump();
-  const std::string merged = read_file(scratch.path());
-  EXPECT_GT(merged.size(), first.size());
-  EXPECT_EQ(merged.front(), '[');
+TEST(PurecTrace, TwoDumpsAppendIntoOneArray) {
+  const std::string path = ::testing::TempDir() + "purec_trace_append.json";
+  std::remove(path.c_str());
+  EXPECT_EQ(dump_one(path, "first"), 1) << "a missing file starts an array";
+  const std::string once = read_file(path);
+  ASSERT_FALSE(once.empty());
+  EXPECT_EQ(once.front(), '[');
+  // The second dump lands on the first one's closing bracket and turns
+  // it into a separator, so the array keeps growing.
+  EXPECT_EQ(dump_one(path, "second"), 0);
+  const std::string merged = read_file(path);
+  EXPECT_GT(merged.size(), once.size());
   std::string error;
   const auto parsed = json::parse(merged, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_TRUE(parsed.has_value()) << error << "\n" << merged;
   ASSERT_NE(parsed->as_array(), nullptr);
-  // Two dumps -> two process_name metadata events, one per splice.
-  EXPECT_EQ(count_occurrences(merged, "\"process_name\""), 2u);
-}
-
-TEST(RuntimeTrace, DumpWithNoEventsLeavesNoFile) {
-  ScopedTracePath scratch("runtime_trace_empty.json");
-  trace::dump();
-  EXPECT_TRUE(read_file(scratch.path()).empty());
-}
-
-TEST(RuntimeTrace, ParallelForStreamsChunkEventsWithTheRegionId) {
-  ScopedTracePath scratch("runtime_trace_live.json");
-  ThreadPool pool(4);
-  ForOptions options;
-  options.schedule = Schedule::Dynamic;
-  options.chunk = 7;
-  options.region_id = 9;
-  std::atomic<std::int64_t> iterations{0};
-  parallel_for(pool, 0, 100,
-               [&](std::int64_t) {
-                 iterations.fetch_add(1, std::memory_order_relaxed);
-               },
-               options);
-  EXPECT_EQ(iterations.load(), 100);
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("\"cat\":\"region\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"cat\":\"chunk\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"region_id\":9"), std::string::npos) << text;
-  // 100 iterations in chunks of 7 = 15 claims = 15 chunk events.
-  EXPECT_EQ(count_occurrences(text, "\"cat\":\"chunk\""), 15u);
-}
-
-TEST(RuntimeTrace, MemoProbesStreamHitAndMissEvents) {
-  ScopedTracePath scratch("runtime_trace_memo.json");
-  MemoCache cache(MemoConfig{});
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("\"memo_hit\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"memo_miss\""), std::string::npos) << text;
-}
-
-TEST(RuntimeTrace, SharedMemoCacheStreamsTheSameEvents) {
-  // Probes against a PUREC_MEMO_PATH mapping go through the identical
-  // trace hook: hit/miss events stream whether the slots are private or
-  // a shared file.
-  ScopedTracePath scratch("runtime_trace_memo_shared.json");
-  const std::string path = ::testing::TempDir() + "purec_trace_memo_" +
-                           std::to_string(::getpid()) + ".cache";
-  std::remove(path.c_str());
-  MemoConfig config{4, 256};
-  config.path = path;
-  MemoCache cache(config);
-  ASSERT_TRUE(cache.shared());
-  std::uint64_t value = 0;
-  EXPECT_FALSE(cache.lookup(42, &value));
-  cache.store(42, 7);
-  EXPECT_TRUE(cache.lookup(42, &value));
-  std::FILE* tmp = std::tmpfile();
-  ASSERT_NE(tmp, nullptr);
-  trace::write_events(tmp);
-  const std::string text = slurp(tmp);
-  std::fclose(tmp);
-  EXPECT_NE(text.find("\"memo_hit\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"memo_miss\""), std::string::npos) << text;
+  EXPECT_EQ(parsed->as_array()->size(), 4u);
+  EXPECT_NE(merged.find("\"first\""), std::string::npos);
+  EXPECT_NE(merged.find("\"second\""), std::string::npos);
   std::remove(path.c_str());
 }
 
-TEST(RuntimeTrace, ResetDropsRecordedEvents) {
-  ScopedTracePath scratch("runtime_trace_reset.json");
-  trace::record(0, trace::EventKind::Region, 0, 10, 1);
-  trace::reset();
-  trace::dump();
-  EXPECT_TRUE(read_file(scratch.path()).empty());
+TEST(PurecTrace, EmptyOrForeignFilesStartAFreshArray) {
+  const std::string path = ::testing::TempDir() + "purec_trace_fresh.json";
+  // An empty file starts a new array.
+  write_file(path, "");
+  EXPECT_EQ(dump_one(path, "fresh"), 1);
+  std::string error;
+  EXPECT_TRUE(json::parse(read_file(path), &error).has_value()) << error;
+  // A tail that is not ']' is never rewritten: the dump is appended
+  // after it as a fresh array, and the foreign bytes stay intact.
+  write_file(path, "not a trace");
+  EXPECT_EQ(dump_one(path, "after"), 1);
+  const std::string text = read_file(path);
+  EXPECT_EQ(text.rfind("not a trace[", 0), 0u) << text;
+  std::remove(path.c_str());
 }
 
 }  // namespace
-}  // namespace purec::rt
+}  // namespace purec
