@@ -1,6 +1,7 @@
 /* Paper Listing 6: alias evasion of the Listing-5 rule. The checker
- * compares names only, so this deliberately passes — the documented
- * limitation of §3.4. */
+ * compares names only, so it raises no error (§3.4). purecc keeps the
+ * loop serial: the pure call reads what the previous iteration wrote
+ * through the alias. */
 pure int func(pure int* a, int idx) {
   return a[idx - 1] + a[idx];
 }

@@ -475,6 +475,8 @@ constexpr std::size_t kMaxGuardDisjuncts = 4;
 
 class Extractor {
  public:
+  explicit Extractor(const PointerTargets* pointers) : pointers_(pointers) {}
+
   [[nodiscard]] ExtractionResult run(const ForStmt& root) {
     ExtractionResult result = run_impl(root);
     if (!result.ok() && !result.failure_loc.valid()) {
@@ -747,6 +749,24 @@ class Extractor {
             "reduction on '" + stmt.reduction_accumulator +
             "' uses combiner '" + stmt.reduction_callee +
             "' (no OpenMP reduction clause for user functions)");
+      }
+    }
+
+    // Dependence pairs only compare accesses of equal rank, so a pointer
+    // and the array it points into must be indexed alike.
+    for (const auto& [base, pointer] : aliased_) {
+      std::optional<std::size_t> rank;
+      for (const ScopStatement& stmt : scop.statements) {
+        for (const Access& a : stmt.accesses) {
+          if (a.array != base) continue;
+          if (rank && *rank != a.subscripts.size()) {
+            result.failure_reason =
+                "local pointer '" + pointer + "' and array '" + base +
+                "' it points into are indexed with different ranks";
+            return result;
+          }
+          rank = a.subscripts.size();
+        }
       }
     }
 
@@ -1158,8 +1178,31 @@ class Extractor {
       }
       a.subscripts.push_back(std::move(*form));
     }
+    // Through a local pointer: name the access by what it points into.
+    if (const PointerTarget* t = target_of(base)) {
+      if (t->base.empty()) {
+        failure = "access through local pointer '" + base + "', which " +
+                  t->unknown;
+        return false;
+      }
+      std::int64_t& first = a.subscripts.front().constant;
+      if (__builtin_add_overflow(first, t->offset, &first)) {
+        failure = "offset of local pointer '" + base + "' overflows";
+        return false;
+      }
+      a.array = t->base;
+      aliased_.emplace(t->base, base);
+    }
     stmt.accesses.push_back(std::move(a));
     return true;
+  }
+
+  /// The target of local pointer `name`, unless it is its own base.
+  [[nodiscard]] const PointerTarget* target_of(const std::string& name) const {
+    if (pointers_ == nullptr) return nullptr;
+    const auto it = pointers_->find(name);
+    if (it == pointers_->end() || it->second.base == name) return nullptr;
+    return &it->second;
   }
 
   bool collect_reads(const Expr& e, AffineBuilder& builder,
@@ -1222,6 +1265,9 @@ class Extractor {
     return true;
   }
 
+  const PointerTargets* pointers_;
+  /// Bases reached through a local pointer -> one such pointer.
+  std::map<std::string, std::string> aliased_;
   std::vector<LoopNode> loops_;
   std::vector<PendingStmt> pending_stmts_;
   bool saw_guard_ = false;
@@ -1232,8 +1278,9 @@ class Extractor {
 
 }  // namespace
 
-ExtractionResult extract_scop(const ForStmt& loop) {
-  Extractor extractor;
+ExtractionResult extract_scop(const ForStmt& loop,
+                              const PointerTargets* pointers) {
+  Extractor extractor(pointers);
   return extractor.run(loop);
 }
 

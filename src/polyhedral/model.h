@@ -176,8 +176,27 @@ struct ExtractionResult {
   [[nodiscard]] bool ok() const noexcept { return scop.has_value(); }
 };
 
+/// Where accesses through one local pointer land in the access model:
+/// `p[e]...` is named `base[e + offset]...`, so a write through an alias
+/// meets the reads of the array it points into. The chain builds these
+/// from the purity layer's pointer-base map (purity/effects.h), which
+/// this layer does not link.
+struct PointerTarget {
+  /// The one named array the pointer points into; empty when that is not
+  /// known, and then `unknown` is the located reason.
+  std::string base;
+  std::int64_t offset = 0;
+  std::string unknown;
+};
+
+/// Local pointer name -> target. A nest that accesses a pointer listed
+/// here without a base does not extract (its reason names the pointer).
+using PointerTargets = std::map<std::string, PointerTarget>;
+
 /// Extracts the polyhedral model from `loop` by walking its region.
-[[nodiscard]] ExtractionResult extract_scop(const ForStmt& loop);
+/// Without `pointers`, every access is named by its own identifier.
+[[nodiscard]] ExtractionResult extract_scop(
+    const ForStmt& loop, const PointerTargets* pointers = nullptr);
 
 /// The statement's effective domain/loop chain with the hand-built-scop
 /// fallbacks applied (shared domain, full chain).

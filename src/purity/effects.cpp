@@ -1,6 +1,9 @@
 #include "purity/effects.h"
 
+#include <cstdint>
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "ast/walk.h"
@@ -25,10 +28,48 @@ struct Source {
   std::string local_ref;  // non-empty: provenance of that local, joined in
 };
 
+/// One recorded assignment source for a local pointer's bases
+/// (PointerBases in effects.h).
+struct BaseSource {
+  enum class Kind : std::uint8_t {
+    Named,  // base `name` itself
+    Copy,   // the bases of local pointer `name`
+    Fresh,  // malloc/calloc: the assigned pointer is its own base
+    Shift,  // p += k, p++: same bases, offset lost
+    Other,  // anything else: unresolved
+  };
+  Kind kind = Kind::Other;
+  std::string name;
+  /// Elements past the base (Named) or past `name`'s own offset (Copy).
+  std::optional<std::int64_t> offset = 0;
+  SourceLocation loc;
+};
+
+/// The integer constant `e` denotes (a literal, possibly negated).
+[[nodiscard]] std::optional<std::int64_t> int_constant(const Expr* e) {
+  const Expr* core = strip_casts(e);
+  if (const auto* lit = expr_cast<IntLiteralExpr>(core)) return lit->value;
+  const auto* unary = expr_cast<UnaryExpr>(core);
+  if (unary != nullptr && unary->op == UnaryOp::Minus) {
+    const std::optional<std::int64_t> v = int_constant(unary->operand.get());
+    if (v && *v != INT64_MIN) return -*v;
+  }
+  return std::nullopt;
+}
+
+/// `a + b`, or nullopt when either is unknown or the sum overflows.
+[[nodiscard]] std::optional<std::int64_t> add_offsets(
+    std::optional<std::int64_t> a, std::optional<std::int64_t> b) {
+  std::int64_t sum = 0;
+  if (!a || !b || __builtin_add_overflow(*a, *b, &sum)) return std::nullopt;
+  return sum;
+}
+
 /// Computes per-local-pointer provenance by joining every assignment
 /// source (declaration initializers and bare reassignments), to a
 /// fixpoint so pointer-to-pointer chains resolve. Name-keyed: shadowed
 /// locals conflate, which only ever *lowers* the lattice value — safe.
+/// The same sources also resolve each local pointer's bases.
 class ProvenanceMap {
  public:
   ProvenanceMap(const FunctionDecl& fn, const FunctionScopeInfo& scope) {
@@ -38,6 +79,7 @@ class ProvenanceMap {
       const auto* decl = stmt_cast<DeclStmt>(&s);
       if (decl == nullptr) return;
       for (const VarDecl& d : decl->decls) {
+        if (d.type->is_pointer()) bases_[d.name];
         if (d.is_static) {
           // Persistent across calls: shared state, never local storage.
           statics_.insert(d.name);
@@ -54,16 +96,17 @@ class ProvenanceMap {
         if (d.is_static) continue;
         if (d.type->is_pointer() && d.init) {
           sources_[d.name].push_back(classify(d.init.get(), scope));
+          base_sources_[d.name].push_back(
+              classify_base(d.init.get(), *d.type, scope, d.loc));
         }
       }
     });
-    const auto local_pointer_name =
-        [&scope](const Expr& lhs) -> const std::string* {
+    const auto local_pointer = [&scope](const Expr& lhs) -> const Symbol* {
       const auto* ident = expr_cast<IdentExpr>(strip_casts(&lhs));
       const Symbol* sym = ident ? scope.resolve(*ident) : nullptr;
       if (sym == nullptr || sym->kind != SymbolKind::Local) return nullptr;
       if (sym->type == nullptr || !sym->type->is_pointer()) return nullptr;
-      return &ident->name;
+      return sym;
     };
     for_each_expr(static_cast<const Stmt&>(*fn.body), [&](const Expr& e) {
       if (const auto* call = expr_cast<CallExpr>(&e)) {
@@ -81,39 +124,53 @@ class ProvenanceMap {
         const auto* unary =
             expr_cast<UnaryExpr>(strip_casts(call->args[1].get()));
         if (unary == nullptr || unary->op != UnaryOp::AddrOf) return;
-        if (const std::string* name =
-                local_pointer_name(*unary->operand)) {
-          sources_[*name].push_back(Source{Provenance::Foreign, {}});
+        if (const Symbol* ptr = local_pointer(*unary->operand)) {
+          sources_[ptr->name].push_back(Source{Provenance::Foreign, {}});
         }
         return;
       }
       if (const auto* assign = expr_cast<AssignExpr>(&e)) {
-        const std::string* name = local_pointer_name(*assign->lhs);
-        if (name == nullptr) return;
+        note_reassigned_base(*assign->lhs, scope);
+        const Symbol* ptr = local_pointer(*assign->lhs);
+        if (ptr == nullptr) return;
         if (assign->op == AssignOp::Assign) {
-          sources_[*name].push_back(classify(assign->rhs.get(), scope));
+          sources_[ptr->name].push_back(classify(assign->rhs.get(), scope));
+          base_sources_[ptr->name].push_back(classify_base(
+              assign->rhs.get(), *ptr->type, scope, assign->loc));
         } else {
           // Compound mutation (p += k, ...): an interior pointer — still
           // the same object (write-safe) but never free()-safe again.
-          sources_[*name].push_back(
-              Source{Provenance::LocalStorage, *name});
+          sources_[ptr->name].push_back(
+              Source{Provenance::LocalStorage, ptr->name});
+          base_sources_[ptr->name].push_back(shift_source(assign->loc));
         }
         return;
       }
       if (const auto* unary = expr_cast<UnaryExpr>(&e)) {
+        if (unary->op == UnaryOp::AddrOf) {
+          // &p escapes: whatever stores through it rebinds p unseen.
+          if (const Symbol* ptr = local_pointer(*unary->operand)) {
+            base_sources_[ptr->name].push_back(
+                BaseSource{BaseSource::Kind::Other, {}, 0, unary->loc});
+          }
+          return;
+        }
         if (unary->op != UnaryOp::PreInc && unary->op != UnaryOp::PreDec &&
             unary->op != UnaryOp::PostInc &&
             unary->op != UnaryOp::PostDec) {
           return;
         }
+        note_reassigned_base(*unary->operand, scope);
         // p++ / p--: same interior-pointer demotion as p = p + 1.
-        if (const std::string* name = local_pointer_name(*unary->operand)) {
-          sources_[*name].push_back(
-              Source{Provenance::LocalStorage, *name});
+        if (const Symbol* ptr = local_pointer(*unary->operand)) {
+          sources_[ptr->name].push_back(
+              Source{Provenance::LocalStorage, ptr->name});
+          base_sources_[ptr->name].push_back(shift_source(unary->loc));
         }
       }
     });
     solve();
+    solve_bases();
   }
 
   /// Provenance of local variable `name` (arrays are LocalStorage; a
@@ -131,7 +188,214 @@ class ProvenanceMap {
     return statics_.count(name) != 0;
   }
 
+  [[nodiscard]] const PointerBaseMap& bases() const { return bases_; }
+
  private:
+  [[nodiscard]] static BaseSource shift_source(SourceLocation loc) {
+    return BaseSource{BaseSource::Kind::Shift, {}, std::nullopt, loc};
+  }
+
+  /// A parameter or global pointer the function rebinds (`a = a + 1`)
+  /// cannot serve as a base: copies taken before and after differ.
+  void note_reassigned_base(const Expr& lhs, const FunctionScopeInfo& scope) {
+    const auto* ident = expr_cast<IdentExpr>(strip_casts(&lhs));
+    const Symbol* sym = ident ? scope.resolve(*ident) : nullptr;
+    if (sym != nullptr && (sym->kind == SymbolKind::Param ||
+                           sym->kind == SymbolKind::Global)) {
+      reassigned_.insert(sym->name);
+    }
+  }
+
+  /// Same type up to qualifiers (`pure`, `const`) at every level.
+  [[nodiscard]] static bool same_shape(const Type& a, const Type& b) {
+    if (a.kind != b.kind) return false;
+    switch (a.kind) {
+      case TypeKind::Builtin:
+        return a.builtin == b.builtin;
+      case TypeKind::Pointer:
+        return same_shape(*a.pointee, *b.pointee);
+      case TypeKind::Array:
+        return a.array_size == b.array_size &&
+               same_shape(*a.element, *b.element);
+      case TypeKind::Struct:
+      case TypeKind::Named:
+        return a.name == b.name;
+    }
+    return false;
+  }
+
+  /// The base source an identifier denotes for a pointer of type `dest`:
+  /// a named array/pointer, or a copy of another (non-static) local
+  /// pointer. Offsets count elements, so the element types must agree
+  /// (a `(char*)` view of an int array is no base).
+  [[nodiscard]] BaseSource named_base(const IdentExpr& ident,
+                                      const Type& dest,
+                                      const FunctionScopeInfo& scope,
+                                      SourceLocation loc) const {
+    BaseSource source{BaseSource::Kind::Other, {}, 0, loc};
+    const Symbol* sym = scope.resolve(ident);
+    if (sym == nullptr || sym->type == nullptr) return source;
+    const TypePtr& element =
+        sym->type->is_array() ? sym->type->element : sym->type->pointee;
+    if (element == nullptr || !dest.is_pointer() ||
+        !same_shape(*element, *dest.pointee)) {
+      return source;
+    }
+    source.name = sym->name;
+    switch (sym->kind) {
+      case SymbolKind::Local:
+        if (sym->type->is_array()) {
+          source.kind = BaseSource::Kind::Named;
+        } else if (sym->type->is_pointer() &&
+                   statics_.count(sym->name) == 0) {
+          source.kind = BaseSource::Kind::Copy;
+        }
+        break;
+      case SymbolKind::Param:
+      case SymbolKind::Global:
+        if (sym->type->is_pointer() || sym->type->is_array()) {
+          source.kind = BaseSource::Kind::Named;
+        }
+        break;
+      case SymbolKind::Unknown:
+      case SymbolKind::Function:
+        break;
+    }
+    return source;
+  }
+
+  /// `e` is an identifier naming a base or a local pointer.
+  [[nodiscard]] bool names_base(const Expr* e, const Type& dest,
+                                const FunctionScopeInfo& scope) const {
+    const auto* ident = expr_cast<IdentExpr>(strip_casts(e));
+    return ident != nullptr && named_base(*ident, dest, scope, {}).kind !=
+                                   BaseSource::Kind::Other;
+  }
+
+  /// What `rhs`, stored into a local pointer of type `dest`, binds it to.
+  [[nodiscard]] BaseSource classify_base(const Expr* rhs, const Type& dest,
+                                         const FunctionScopeInfo& scope,
+                                         SourceLocation loc) const {
+    const Expr* core = strip_casts(rhs);
+    const BaseSource other{BaseSource::Kind::Other, {}, 0, loc};
+    if (const auto* call = expr_cast<CallExpr>(core)) {
+      const std::string callee = call->callee_name();
+      if (callee == "malloc" || callee == "calloc") {
+        return BaseSource{BaseSource::Kind::Fresh, {}, 0, loc};
+      }
+      return other;
+    }
+    if (const auto* ident = expr_cast<IdentExpr>(core)) {
+      return named_base(*ident, dest, scope, loc);
+    }
+    // `&x[k]` is `x + k`.
+    const Expr* pointer = nullptr;
+    const Expr* index = nullptr;
+    bool negate = false;
+    if (const auto* unary = expr_cast<UnaryExpr>(core)) {
+      const auto* element =
+          unary->op == UnaryOp::AddrOf
+              ? expr_cast<IndexExpr>(strip_casts(unary->operand.get()))
+              : nullptr;
+      if (element == nullptr) return other;
+      pointer = element->base.get();
+      index = element->index.get();
+    } else if (const auto* bin = expr_cast<BinaryExpr>(core)) {
+      if (bin->op != BinaryOp::Add && bin->op != BinaryOp::Sub) return other;
+      pointer = bin->lhs.get();
+      index = bin->rhs.get();
+      negate = bin->op == BinaryOp::Sub;
+      if (bin->op == BinaryOp::Add && !names_base(pointer, dest, scope)) {
+        std::swap(pointer, index);  // `k + x`
+      }
+    } else {
+      return other;
+    }
+    const auto* base_ident = expr_cast<IdentExpr>(strip_casts(pointer));
+    if (base_ident == nullptr) return other;
+    BaseSource source = named_base(*base_ident, dest, scope, loc);
+    if (source.kind == BaseSource::Kind::Other) return source;
+    std::optional<std::int64_t> k = int_constant(index);
+    if (k && negate) k = *k == INT64_MIN ? std::nullopt
+                                         : std::optional<std::int64_t>(-*k);
+    source.offset = add_offsets(source.offset, k);
+    return source;
+  }
+
+  /// Fixpoint over base_sources_: bases only grow, an offset only goes
+  /// from unset to one value to unknown, and unresolved only turns on.
+  void solve_bases() {
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (auto& [name, result] : bases_) {
+        PointerBases next;
+        bool has_offset = false;
+        bool shifted = false;
+        const auto add = [&](const std::set<std::string>& bases,
+                             std::optional<std::int64_t> offset) {
+          if (bases.empty()) return;
+          next.bases.insert(bases.begin(), bases.end());
+          if (!has_offset) {
+            next.offset = offset;
+            has_offset = true;
+          } else if (next.offset != offset) {
+            next.offset = std::nullopt;
+          }
+        };
+        const auto it = base_sources_.find(name);
+        const bool is_static = statics_.count(name) != 0;
+        if (it == base_sources_.end() || is_static) {
+          next.unresolved = true;
+        } else {
+          next.bound = it->second.front().loc;
+          for (const BaseSource& src : it->second) {
+            switch (src.kind) {
+              case BaseSource::Kind::Named:
+                if (reassigned_.count(src.name) != 0) {
+                  next.unresolved = true;
+                } else {
+                  add({src.name}, src.offset);
+                }
+                break;
+              case BaseSource::Kind::Copy: {
+                const auto from = bases_.find(src.name);
+                if (from == bases_.end()) {
+                  next.unresolved = true;
+                  break;
+                }
+                next.unresolved = next.unresolved || from->second.unresolved;
+                add(from->second.bases,
+                    add_offsets(from->second.offset, src.offset));
+                break;
+              }
+              case BaseSource::Kind::Fresh:
+                add({name}, 0);
+                break;
+              case BaseSource::Kind::Shift:
+                shifted = true;
+                break;
+              case BaseSource::Kind::Other:
+                next.unresolved = true;
+                break;
+            }
+          }
+        }
+        if (shifted) next.offset = std::nullopt;
+        if (next.bases != result.bases || next.offset != result.offset ||
+            next.unresolved != result.unresolved) {
+          changed = true;
+        }
+        result = std::move(next);
+      }
+    }
+    // A pointer no source ever bound (a copy cycle, or never assigned)
+    // may point anywhere.
+    for (auto& [name, result] : bases_) {
+      if (result.bases.empty()) result.unresolved = true;
+    }
+  }
+
   [[nodiscard]] Source classify(const Expr* rhs,
                                 const FunctionScopeInfo& scope) const {
     const Expr* core = strip_casts(rhs);
@@ -218,6 +482,11 @@ class ProvenanceMap {
   std::map<std::string, Provenance> result_;
   std::set<std::string> arrays_;
   std::set<std::string> statics_;
+  std::map<std::string, std::vector<BaseSource>> base_sources_;
+  /// Parameters and globals the function rebinds.
+  std::set<std::string> reassigned_;
+  /// One entry per local pointer name (declared pointer-typed).
+  PointerBaseMap bases_;
 };
 
 /// The pointer-escape reasoning both the effect scanner and the public
@@ -683,6 +952,12 @@ std::string WritesArg0Oracle::violation(const CallExpr& call,
     return check_writes_arg1(impl_->oracle, call, name).reason;
   }
   return check_writes_arg0(impl_->oracle, call, name).reason;
+}
+
+PointerBaseMap local_pointer_bases(const FunctionDecl& fn,
+                                   const FunctionScopeInfo& scope) {
+  if (!fn.is_definition()) return {};
+  return ProvenanceMap(fn, scope).bases();
 }
 
 EffectSummary compute_effects(const FunctionDecl& fn,

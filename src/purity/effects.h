@@ -13,7 +13,10 @@
 // reach caller-owned or global memory is an effect.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -72,6 +75,42 @@ class WritesArg0Oracle {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Where one local pointer may point: the base half of the provenance
+/// map. The chain reads it twice: to match the Listing-5 roots
+/// (purity/purity_checker.h) through local pointers, and to name accesses
+/// in the polyhedral model by their base. Sources map like this:
+///  * `= x`, `= &x[k]`, `= x + k`, `= x - k` give base `x` (a local
+///    array, a parameter, a global, or the pointer itself for fresh
+///    memory), with offset k when k is an integer constant;
+///  * a copy of another local pointer inherits that pointer's bases,
+///    transitively, shifted by the copy's own offset;
+///  * `= malloc(...)` / `= calloc(...)` give the pointer itself, as a
+///    fresh object;
+///  * `p += k`, `p++` and the like keep the bases but lose the offset;
+///  * anything else (another call, a load, `&p` escaping, a base that the
+///    function reassigns) leaves the pointer unresolved.
+/// Flow-insensitive: every source anywhere in the function counts.
+struct PointerBases {
+  /// Named bases the pointer may point into.
+  std::set<std::string> bases;
+  /// Constant element offset from the base, when every source agrees on
+  /// one; nullopt when some source moves the pointer by an unknown amount.
+  std::optional<std::int64_t> offset;
+  /// Some source is none of the above: the pointer may point anywhere.
+  bool unresolved = false;
+  /// The pointer's first binding (declaration or assignment).
+  SourceLocation bound;
+};
+
+/// Local pointer name -> its bases. Name-keyed like the provenance
+/// lattice: shadowed locals pool their sources, which only widens.
+using PointerBaseMap = std::map<std::string, PointerBases>;
+
+/// The base map of every local pointer in `fn` (statics included, always
+/// unresolved: their value outlives the call).
+[[nodiscard]] PointerBaseMap local_pointer_bases(
+    const FunctionDecl& fn, const FunctionScopeInfo& scope);
 
 struct EffectSummary {
   std::string function;

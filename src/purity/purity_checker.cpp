@@ -398,8 +398,9 @@ class ScopScanner {
         if (is_global) roots.global_writes.insert(root->name);
       } else if (shape == LvalueShape::Bare && is_global) {
         // Only the inference-provenance rule below sees these; the
-        // paper's argument rule stays name+Through based (its alias
-        // holes — Listing 6, pointer swaps — are pinned behavior).
+        // paper's argument rule stays name+Through based. A write through
+        // a local alias (Listing 6) is no error here; the chain keeps
+        // that nest serial. Global pointer swaps are pinned behavior.
         roots.global_writes.insert(root->name);
       }
     };
@@ -413,7 +414,7 @@ class ScopScanner {
           return;
         }
         for (const ExprPtr& arg : call->args) {
-          collect_pointer_roots(*arg, roots.call_args);
+          collect_pointer_roots(*arg, name, roots);
         }
         // Inference provenance: globals the callee reads behave like
         // arguments of the call.
@@ -444,15 +445,18 @@ class ScopScanner {
   }
 
  private:
-  /// Adds the names of pointer/array variables appearing in a call argument.
-  void collect_pointer_roots(const Expr& arg, std::set<std::string>& out) {
+  /// Adds the names of pointer/array variables appearing in an argument
+  /// of a call to `callee`.
+  void collect_pointer_roots(const Expr& arg, const std::string& callee,
+                             NestRoots& roots) {
     for_each_expr(arg, [&](const Expr& e) {
       const auto* ident = expr_cast<IdentExpr>(&e);
       if (ident == nullptr) return;
       const Symbol* sym = scope_.resolve(*ident);
       if (sym == nullptr) return;
       if (sym->type && (sym->type->is_pointer() || sym->type->is_array())) {
-        out.insert(sym->name);
+        roots.call_args.insert(sym->name);
+        roots.callees.emplace(sym->name, callee);
       }
     });
   }
@@ -466,6 +470,7 @@ class ScopScanner {
 
 void NestRoots::merge(const NestRoots& other) {
   call_args.insert(other.call_args.begin(), other.call_args.end());
+  callees.insert(other.callees.begin(), other.callees.end());
   implicit_globals.insert(other.implicit_globals.begin(),
                           other.implicit_globals.end());
   writes.insert(other.writes.begin(), other.writes.end());

@@ -14,8 +14,9 @@
 //  * `free` may only release memory malloc'ed in the same function (§3.2);
 //  * loop nests are SCoP candidates when all calls inside are pure; a pure
 //    call argument that is also written in the nest is an error (§3.4,
-//    Listing 5). Alias-based evasion (Listing 6) is deliberately NOT
-//    detected — the paper documents this limitation and so do we.
+//    Listing 5). The rule compares names, so a write through a local
+//    alias (Listing 6) raises no error, as §3.4 documents; the chain
+//    (transform/pure_chain.h) keeps such a nest serial instead.
 #pragma once
 
 #include <map>
@@ -50,11 +51,13 @@ struct PurityOptions {
 };
 
 /// The names the Listing-5 rule compares, collected over one loop nest.
-/// Name-based on purpose: §3.4 documents that aliases evade the rule
-/// (Listing 6).
+/// The rule compares names only, so an alias raises no error (§3.4,
+/// Listing 6); the chain matches these roots through local pointers.
 struct NestRoots {
   /// Pointer/array variables appearing in pure-call arguments.
   std::set<std::string> call_args;
+  /// The pure function each call-argument root is first passed to.
+  std::map<std::string, std::string> callees;
   /// Globals read by the inferred-pure functions the nest calls
   /// (inference provenance).
   std::set<std::string> implicit_globals;

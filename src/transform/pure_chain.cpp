@@ -14,6 +14,7 @@
 #include "polyhedral/schedule.h"
 #include "preproc/include_stripper.h"
 #include "preproc/mini_cpp.h"
+#include "purity/effects.h"
 #include "sema/symbols.h"
 #include "support/rational.h"
 #include "transform/call_substitution.h"
@@ -418,6 +419,103 @@ void append_to_body(ForStmt& loop, StmtPtr extra) {
   }
 }
 
+/// One function's local pointers (purity/effects.h), and the access
+/// model's view of each: its one base and constant offset, or why it has
+/// none.
+struct LocalPointers {
+  PointerBaseMap bases;
+  poly::PointerTargets targets;
+};
+
+[[nodiscard]] LocalPointers local_pointers(const FunctionDecl& fn,
+                                           const FunctionScopeInfo& scope) {
+  LocalPointers out{local_pointer_bases(fn, scope), {}};
+  for (const auto& [name, bases] : out.bases) {
+    poly::PointerTarget& target = out.targets[name];
+    if (!bases.unresolved && bases.bases.size() == 1 && bases.offset) {
+      target.base = *bases.bases.begin();
+      target.offset = *bases.offset;
+      continue;
+    }
+    if (bases.unresolved) {
+      target.unknown = "may point anywhere";
+    } else if (bases.bases.size() > 1) {
+      target.unknown = "may point into";
+      for (const std::string& base : bases.bases) {
+        target.unknown += (base == *bases.bases.begin() ? " '" : " or '") +
+                          base + "'";
+      }
+    } else {
+      target.unknown = "moves by an offset that is not a constant";
+    }
+    if (bases.bound.line != 0) {
+      target.unknown +=
+          " (bound at line " + std::to_string(bases.bound.line) + ")";
+    }
+  }
+  return out;
+}
+
+/// The Listing-5 rule through local pointers: a root written in the nest
+/// and a root passed to a pure call, of different names, that may share a
+/// base. A resolved local pointer stands for its bases; an unresolved one
+/// may share a base with any root. The dependence analysis cannot see
+/// what the call reads, so such a nest stays as written. Returns the
+/// located reason, or empty when the nest has no such pair. (The checker
+/// has already rejected every pair of equal names, §3.4.)
+[[nodiscard]] std::string alias_conflict(const NestRoots& roots,
+                                         const PointerBaseMap& pointers) {
+  const auto find = [&pointers](const std::string& root) {
+    const auto it = pointers.find(root);
+    return it == pointers.end() ? nullptr : &it->second;
+  };
+  for (const std::string& w : roots.writes) {
+    if (roots.call_args.count(w) != 0) continue;
+    const PointerBases* written = find(w);
+    for (const std::string& arg : roots.call_args) {
+      const PointerBases* passed = find(arg);
+      if (written == nullptr && passed == nullptr) continue;
+      const std::string& callee = roots.callees.at(arg);
+      // The local pointer the reason names, and the base they share.
+      std::string pointer;
+      std::string base;
+      if (written != nullptr && written->unresolved) {
+        pointer = w;
+      } else if (passed != nullptr && passed->unresolved) {
+        pointer = arg;
+      } else {
+        const std::set<std::string> from_write =
+            written != nullptr ? written->bases : std::set<std::string>{w};
+        const std::set<std::string> from_arg =
+            passed != nullptr ? passed->bases : std::set<std::string>{arg};
+        for (const std::string& b : from_write) {
+          if (from_arg.count(b) != 0) {
+            base = b;
+            break;
+          }
+        }
+        if (base.empty()) continue;
+        pointer = written != nullptr && w != base ? w : arg;
+      }
+      const std::uint32_t line = find(pointer)->bound.line;
+      const std::string bound =
+          line != 0 ? " (bound at line " + std::to_string(line) + ")" : "";
+      if (base.empty()) {
+        return "'" + w + "' is written and '" + arg +
+               "' is passed to pure function '" + callee +
+               "' in the same loop nest; local pointer '" + pointer +
+               "' may point anywhere" + bound +
+               ". Listing 5 rule through a local alias";
+      }
+      return "array '" + base + "' is written through '" + w +
+             "' and passed to pure function '" + callee + "' as '" + arg +
+             "' in the same loop nest; '" + pointer + "' points into it" +
+             bound + ". Listing 5 rule through a local alias";
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 ChainArtifacts run_pure_chain(const std::string& source,
@@ -504,6 +602,27 @@ ChainArtifacts run_pure_chain(const std::string& source,
         /*cost_gate=*/!options.memoize_all,
         options.has_memoize_profile ? &options.memoize_profile : nullptr);
   }
+
+  // Before any nest is rewritten: the base map reads the whole body.
+  std::map<const FunctionDecl*, LocalPointers> pointers;
+  for (const ScopCandidate& candidate : purity.scop_loops) {
+    const FunctionScopeInfo* scope = symbols.scope_for(*candidate.function);
+    if (scope != nullptr && pointers.count(candidate.function) == 0) {
+      pointers.emplace(candidate.function,
+                       local_pointers(*candidate.function, *scope));
+    }
+  }
+  const auto targets_of =
+      [&pointers](const FunctionDecl* fn) -> const poly::PointerTargets* {
+    const auto it = pointers.find(fn);
+    return it == pointers.end() ? nullptr : &it->second.targets;
+  };
+  const auto alias_conflict_in = [&pointers](const NestRoots& roots,
+                                             const FunctionDecl* fn) {
+    const auto it = pointers.find(fn);
+    return it == pointers.end() ? std::string()
+                                : alias_conflict(roots, it->second.bases);
+  };
 
   mark_scops(tu, purity.scop_loops);
   artifacts.marked = print_c(tu, PrintOptions{PureHandling::Keep, 2});
@@ -607,7 +726,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       // and its outer loop must stay parallel.
       std::size_t boundary = 0;
       {
-        poly::ExtractionResult r1 = poly::extract_scop(*loop1);
+        poly::ExtractionResult r1 =
+            poly::extract_scop(*loop1, targets_of(first.function));
         if (!r1.ok()) {
           reject("first nest no longer extracts: " + r1.failure_reason);
           continue;
@@ -621,7 +741,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       StmtPtr body2 = loop2->body ? loop2->body->clone() : nullptr;
       if (body2) rename_identifier(*body2, n2, n1);
       append_to_body(*trial_loop, std::move(body2));
-      poly::ExtractionResult fused = poly::extract_scop(*trial_loop);
+      poly::ExtractionResult fused =
+          poly::extract_scop(*trial_loop, targets_of(first.function));
       if (!fused.ok()) {
         reject("fused nest is not a SCoP: " + fused.failure_reason);
         continue;
@@ -663,6 +784,12 @@ ChainArtifacts run_pure_chain(const std::string& source,
                    : "array '" + c.name +
                          "' is passed to a pure function in one nest and "
                          "written in the other (Listing 5 rule)");
+        continue;
+      }
+      const std::string alias =
+          alias_conflict_in(fused_roots, first.function);
+      if (!alias.empty()) {
+        reject(alias);
         continue;
       }
 
@@ -715,12 +842,23 @@ ChainArtifacts run_pure_chain(const std::string& source,
       artifacts.scops.push_back(report);
     };
 
+    // The pure call may read what the nest writes through an alias, and
+    // no dependence shows that: keep the nest as written.
+    report.failure_reason =
+        alias_conflict_in(candidate.roots, candidate.function);
+    if (!report.failure_reason.empty()) {
+      report.failure_loc = candidate.loop->loc;
+      undo();
+      continue;
+    }
+
     poly::IteratorSubstitution iter_subst;
     StmtPtr generated;
     std::vector<std::string> scop_iterators;
     bool region = false;
     try {
-      poly::ExtractionResult extraction = poly::extract_scop(*loop);
+      poly::ExtractionResult extraction =
+          poly::extract_scop(*loop, targets_of(candidate.function));
       if (!extraction.ok()) {
         report.failure_reason = extraction.failure_reason;
         report.failure_loc = extraction.failure_loc;

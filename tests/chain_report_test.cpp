@@ -14,6 +14,7 @@
 //      the classic --report lines.
 //   4. Fusion: pairs that break the Listing-5 rule across two nests are
 //      recorded as rejected, with the rule as the reason.
+//   5. Alias: Listing 6 stays serial with a located reason.
 #include "transform/chain_report.h"
 
 #include <gtest/gtest.h>
@@ -352,6 +353,61 @@ TEST(ChainReportFusion, AThirdSiblingIsCheckedAgainstBothFusedNests) {
   EXPECT_EQ(trail[1].second,
             "array 'b' is passed to a pure function in one nest and written "
             "in the other (Listing 5 rule)");
+}
+
+TEST(ChainReportFusion, AWriteThroughAnAliasOfAPureCallArgumentIsNotFused) {
+  // The first nest writes b through the local alias p; the second passes
+  // b to a pure call. Merged, the roots conflict through the alias.
+  const char* source =
+      "pure int g(pure int* b, int k) {\n"
+      "  return b[k];\n"
+      "}\n"
+      "void k(int* a, int* b) {\n"
+      "  int* p = b;\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    p[i] = i;\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    a[i] = g((pure int*)b, 99 - i);\n"
+      "}\n";
+  ChainOptions options;
+  ChainArtifacts artifacts = run_pure_chain(source, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  auto trail = fusion_trail(build_chain_report(artifacts, options));
+  ASSERT_EQ(trail.size(), 1u);
+  EXPECT_FALSE(trail[0].first);
+  EXPECT_EQ(trail[0].second,
+            "array 'b' is written through 'p' and passed to pure function "
+            "'g' as 'b' in the same loop nest; 'p' points into it (bound "
+            "at line 5). Listing 5 rule through a local alias");
+}
+
+// -- Listing 6: the alias of a pure-call argument ---------------------------
+
+/// The report's scop entry for the loop in `main`.
+json::Value main_scop(const json::Value& report) {
+  for (const json::Value& scop : *report.find("scops")->as_array()) {
+    if (scop.find("function")->as_string() == "main") return scop;
+  }
+  ADD_FAILURE() << "no scop in main";
+  return json::Value::object();
+}
+
+TEST(ChainReportAlias, Listing6StaysSerialWithALocatedReason) {
+  ChainOptions options;
+  ChainArtifacts artifacts = run_pure_chain(testsrc::kListing6, options);
+  ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
+  json::Value report = build_chain_report(artifacts, options);
+  json::Value scop = main_scop(report);
+  EXPECT_FALSE(scop.find("extracted")->as_bool());
+  EXPECT_FALSE(scop.find("parallelized")->as_bool());
+  const json::Value* failure = scop.find("failure");
+  ASSERT_NE(failure, nullptr);
+  ASSERT_FALSE(failure->is_null());
+  const std::string reason = failure->find("reason")->as_string();
+  for (const char* word : {"'alias'", "'array'", "'func'", "line 8"}) {
+    EXPECT_NE(reason.find(word), std::string::npos) << word << ": " << reason;
+  }
+  expect_location(*failure, "listing6 failure");
 }
 
 // -- Text renderer over the same structure ----------------------------------

@@ -82,11 +82,73 @@ TEST(Chain, Listing5IsRejectedByChain) {
 }
 
 TEST(Chain, Listing6AliasSlipsThrough) {
-  // §3.4: the alias evasion is NOT caught — pinned behavior.
+  // §3.4: the alias evasion slips through the checker's name-only rule,
+  // so the chain succeeds. The loop carries a read-after-write through
+  // the alias (iteration i reads array[i - 1]), so it must stay serial.
   ChainArtifacts a = run_pure_chain(testsrc::kListing6);
   EXPECT_TRUE(a.ok) << a.diagnostics.format();
+  EXPECT_EQ(a.final_source.find("#pragma omp parallel for"),
+            std::string::npos)
+      << a.final_source;
+  EXPECT_NE(a.final_source.find("alias[i] = func(array, i);"),
+            std::string::npos)
+      << a.final_source;
+}
+
+TEST(Chain, APureCallOnAnUnresolvedLocalPointerStaysSerial) {
+  // Pointers the base map cannot resolve may point into the written
+  // array: a conditional binding, an escaped address, a view with
+  // another element type. None of them is an access the dependence
+  // analysis sees, since the pure call hides what it reads.
+  for (const char* binding :
+       {"int* p = n > 0 ? array : array;",
+        "int* p = array; int** pp = &p;",
+        "pure char* p = (pure char*)array;"}) {
+    const std::string src =
+        std::string("pure int func(pure int* a, int idx) {\n"
+                    "  return a[idx - 1] + a[idx];\n"
+                    "}\n"
+                    "pure int first(pure char* a, int idx) {\n"
+                    "  return a[idx - 1];\n"
+                    "}\n"
+                    "void k(int n) {\n"
+                    "  int array[100];\n  ") +
+        binding +
+        "\n"
+        "  for (int i = 1; i < 100; i++) {\n" +
+        (std::string(binding).find("char") != std::string::npos
+             ? "    array[i] = first(p, 4 * i);\n"
+             : "    array[i] = func(p, i);\n") +
+        "  }\n"
+        "}\n";
+    ChainArtifacts a = run_pure_chain(src);
+    ASSERT_TRUE(a.ok) << binding << "\n" << a.diagnostics.format();
+    EXPECT_EQ(a.final_source.find("#pragma omp parallel for"),
+              std::string::npos)
+        << binding << "\n" << a.final_source;
+    ASSERT_EQ(a.scops.size(), 1u) << binding;
+    EXPECT_FALSE(a.scops[0].parallelized);
+    EXPECT_NE(a.scops[0].failure_reason.find(
+                  "local pointer 'p' may point anywhere (bound at line 9)"),
+              std::string::npos)
+        << binding << ": " << a.scops[0].failure_reason;
+  }
+}
+
+TEST(Chain, APureCallOnFreshMemoryIsNoAlias) {
+  // malloc'ed memory is its own base: writing `out` while passing `p`
+  // to the pure call shares nothing, so the loop still parallelizes.
+  ChainArtifacts a = run_pure_chain(
+      "pure int func(pure int* a, int idx) { return a[idx]; }\n"
+      "void k(int* out) {\n"
+      "  int* p = malloc(400);\n"
+      "  for (int i = 0; i < 100; i++)\n"
+      "    out[i] = func(p, i);\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
   EXPECT_NE(a.final_source.find("#pragma omp parallel for"),
-            std::string::npos);
+            std::string::npos)
+      << a.final_source;
 }
 
 TEST(Chain, SystemIncludesAreRestored) {

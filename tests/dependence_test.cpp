@@ -13,7 +13,8 @@ struct Extracted {
   std::vector<Dependence> deps;
 };
 
-Extracted analyze(const std::string& src, const std::string& fn_name = "k") {
+Extracted analyze(const std::string& src, const std::string& fn_name = "k",
+                  const PointerTargets* pointers = nullptr) {
   Extracted out;
   SourceBuffer buf = SourceBuffer::from_string(src);
   DiagnosticEngine diags;
@@ -27,8 +28,9 @@ Extracted analyze(const std::string& src, const std::string& fn_name = "k") {
       break;
     }
   }
-  ExtractionResult r = extract_scop(*loop);
+  ExtractionResult r = extract_scop(*loop, pointers);
   EXPECT_TRUE(r.ok()) << r.failure_reason;
+  if (!r.ok()) return out;
   out.scop = std::move(*r.scop);
   out.deps = analyze_dependences(out.scop);
   return out;
@@ -50,6 +52,41 @@ TEST(Dependence, IndependentWritesHaveNoDependences) {
       "      C[i][j] = 0.0f;\n"
       "}\n");
   EXPECT_TRUE(r.deps.empty());
+}
+
+TEST(Dependence, AWriteThroughALocalAliasMeetsReadsOfItsBase) {
+  // Listing 6 inlined: iteration i reads array[i - 1], which iteration
+  // i - 1 wrote through the alias.
+  const char* src =
+      "void k(void) {\n"
+      "  int array[100];\n"
+      "  int* alias = array;\n"
+      "  for (int i = 1; i < 100; i++)\n"
+      "    alias[i] = array[i - 1] + array[i];\n"
+      "}\n";
+  EXPECT_FALSE(has_carried(analyze(src).deps, 1));  // two unrelated names
+  const PointerTargets pointers = {{"alias", {"array", 0, ""}}};
+  const auto r = analyze(src, "k", &pointers);
+  EXPECT_TRUE(has_carried(r.deps, 1));
+}
+
+TEST(Dependence, APointerOffsetShiftsTheSubscript) {
+  // shifted[i] is array[i + 1]: iteration i reads array[i + 2], which
+  // iteration i + 1 then overwrites (a carried anti dependence).
+  const char* src =
+      "void k(void) {\n"
+      "  int array[100];\n"
+      "  int* shifted = array + 1;\n"
+      "  for (int i = 0; i < 98; i++)\n"
+      "    shifted[i] = array[i + 2];\n"
+      "}\n";
+  const PointerTargets pointers = {{"shifted", {"array", 1, ""}}};
+  const auto r = analyze(src, "k", &pointers);
+  ASSERT_EQ(r.scop.statements.size(), 1u);
+  const Access& write = r.scop.statements[0].accesses[0];
+  EXPECT_EQ(write.array, "array");
+  EXPECT_EQ(write.subscripts[0].constant, 1);
+  EXPECT_TRUE(has_carried(r.deps, 1));
 }
 
 TEST(Dependence, StreamCopyIsIndependent) {

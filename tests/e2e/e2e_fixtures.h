@@ -1060,6 +1060,64 @@ int main() {
 }
 )";
 
+// Listing 6 without the keyword: the nest writes `array` through the
+// local alias and reads it under its own name, a loop-carried flow
+// dependence (iteration i reads what iteration i - 1 wrote). The access
+// model must name both by their base `array`, so the loop stays serial.
+// Parallelized, the checksum differs at two or more threads.
+inline constexpr const char* kRunAliasPlain = R"(
+#include <stdio.h>
+
+int main() {
+  int array[100];
+  for (int i = 0; i < 100; i++) {
+    array[i] = (i * 3 + 1) % 17;
+  }
+  int* alias = array;
+  for (int i = 1; i < 100; i++) {
+    alias[i] = array[i - 1] + array[i];
+  }
+  long checksum = 0;
+  for (int i = 0; i < 100; i++) checksum += (long)array[i] * (i % 9);
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
+// Listing 6 with pointers the base map cannot resolve: `mixed` is bound
+// by a conditional, and `alias` escapes through `&alias`. Each loop
+// writes `array` and passes such a pointer to the pure call, which reads
+// the element the previous iteration wrote. An unresolved local pointer
+// may point into anything, so both loops stay serial. Parallelized, the
+// checksum differs at two or more threads.
+inline constexpr const char* kRunAliasUnresolved = R"(
+#include <stdio.h>
+
+pure int func(pure int* a, int idx) {
+  return a[idx - 1] + a[idx];
+}
+
+int main() {
+  int array[100];
+  for (int i = 0; i < 100; i++) {
+    array[i] = (i * 3 + 1) % 17;
+  }
+  int* mixed = array[3] > 5 ? array : array;
+  for (int i = 1; i < 100; i++) {
+    array[i] = func(mixed, i);
+  }
+  int* alias = array;
+  int** escape = &alias;
+  for (int i = 1; i < 100; i++) {
+    array[i] = func(alias, i);
+  }
+  long checksum = (long)(*escape)[0];
+  for (int i = 0; i < 100; i++) checksum += (long)array[i] * (i % 9);
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
 // The keyword-free twin under --infer-pure: the reader nest never names
 // `gain`, the inferred-pure weigh() reads it as a global. Inference
 // provenance makes that read part of the Listing-5 rule, so the nests
@@ -1214,6 +1272,11 @@ inline std::vector<Fixture> all_fixtures() {
       {"pure_reader_after_writer", kRunPureReaderAfterWriter, false,
        kRunPureReaderAfterWriter, true, true},
       {"matmul_row_setup", kRunMatmulRowSetup, false, kRunMatmulRowSetup,
+       true, true},
+      // A write through a local alias against a read of its base.
+      {"alias_plain", kRunAliasPlain, false, kRunAliasPlain, true, true},
+      // A pure call on a local pointer that may point anywhere.
+      {"alias_unresolved", kRunAliasUnresolved, false, kRunAliasUnresolved,
        true, true},
       {"global_reader_after_writer", kRunGlobalReaderAfterWriter, false,
        kRunGlobalReaderAfterWriter, true, true, /*infer=*/true},

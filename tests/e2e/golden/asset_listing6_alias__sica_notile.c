@@ -1,4 +1,3 @@
-#include <omp.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -14,12 +13,9 @@ int main()
 {
   int array[100];
   int* alias = array;
+  for (int i = 1; i < 100; i++)
   {
-#pragma omp parallel for
-    for (int t1 = 1; t1 <= 99; t1++)
-    {
-      alias[t1] = func(array, t1);
-    }
+    alias[i] = func(array, i);
   }
   return 0;
 }

@@ -1,4 +1,3 @@
-#include <omp.h>
 #ifndef PUREC_POLY_HELPERS
 #define PUREC_POLY_HELPERS
 #define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
@@ -15,7 +14,6 @@ int main()
   int array[100];
   int* alias = array;
   {
-#pragma omp parallel for
     for (int t1 = 1; t1 <= 99; t1++)
     {
       alias[t1] = array[t1 - 1] + array[t1];

@@ -325,6 +325,111 @@ TEST(Effects, LocalArrayWritesAreInvisible) {
 }
 
 // ---------------------------------------------------------------------------
+// Local pointer bases (the base half of the provenance map)
+// ---------------------------------------------------------------------------
+
+PointerBaseMap bases_of(EffectsOutcome& out, const std::string& src,
+                        const std::string& name) {
+  SourceBuffer buf = SourceBuffer::from_string(src);
+  out.tu = std::make_unique<TranslationUnit>(parse(buf, out.diags));
+  EXPECT_FALSE(out.diags.has_errors()) << out.diags.format(&buf);
+  out.symbols =
+      std::make_unique<SymbolTable>(SymbolTable::build(*out.tu, out.diags));
+  const FunctionDecl* fn = out.tu->find_function(name);
+  EXPECT_NE(fn, nullptr);
+  return local_pointer_bases(*fn, *out.symbols->scope_for(*fn));
+}
+
+/// "base+offset" for a resolved pointer, "?" for an unknown offset,
+/// "unresolved" otherwise; several bases joined by '|'.
+std::string describe(const PointerBaseMap& bases, const std::string& name) {
+  const auto it = bases.find(name);
+  if (it == bases.end()) return "missing";
+  const PointerBases& b = it->second;
+  if (b.unresolved) return "unresolved";
+  std::string out;
+  for (const std::string& base : b.bases) {
+    out += (out.empty() ? "" : "|") + base;
+  }
+  return out + "+" + (b.offset ? std::to_string(*b.offset) : "?");
+}
+
+TEST(PointerBases, SourcesResolveToNamedBasesAndOffsets) {
+  EffectsOutcome out;
+  const PointerBaseMap bases = bases_of(
+      out,
+      "int g[10];\n"
+      "void k(int* prm, int n) {\n"
+      "  int a[100];\n"
+      "  int* p = a;\n"
+      "  int* q = &a[3];\n"
+      "  int* r = p + 2;\n"
+      "  int* s = r - 1;\n"
+      "  int* h = malloc(8);\n"
+      "  int* u = prm;\n"
+      "  int* w = 4 + g;\n"
+      "  int* x = a + n;\n"
+      "  int* y = p;\n"
+      "  y++;\n"
+      "  int* two = a;\n"
+      "  two = (int*)g;\n"
+      "  int* z = n ? a : g;\n"
+      "  int* esc = a;\n"
+      "  int** pp = &esc;\n"
+      "  int* never;\n"
+      "  pure int* view = (pure int*)a;\n"
+      "  char* bytes = (char*)a;\n"
+      "}\n",
+      "k");
+  EXPECT_EQ(describe(bases, "p"), "a+0");
+  EXPECT_EQ(describe(bases, "q"), "a+3");
+  EXPECT_EQ(describe(bases, "r"), "a+2");
+  EXPECT_EQ(describe(bases, "s"), "a+1");  // copies resolve transitively
+  EXPECT_EQ(describe(bases, "h"), "h+0");  // fresh memory is its own base
+  EXPECT_EQ(describe(bases, "u"), "prm+0");
+  EXPECT_EQ(describe(bases, "w"), "g+4");
+  EXPECT_EQ(describe(bases, "x"), "a+?");
+  EXPECT_EQ(describe(bases, "y"), "a+?");
+  EXPECT_EQ(describe(bases, "two"), "a|g+0");
+  EXPECT_EQ(describe(bases, "z"), "unresolved");
+  EXPECT_EQ(describe(bases, "esc"), "unresolved");  // &esc escapes
+  EXPECT_EQ(describe(bases, "pp"), "unresolved");
+  EXPECT_EQ(describe(bases, "never"), "unresolved");
+  EXPECT_EQ(describe(bases, "view"), "a+0");  // qualifiers do not matter
+  // Offsets count elements: a view with another element type is no base.
+  EXPECT_EQ(describe(bases, "bytes"), "unresolved");
+  EXPECT_EQ(bases.at("q").bound.line, 5u);
+}
+
+TEST(PointerBases, AReassignedParameterIsNoBase) {
+  // `p` copies `prm` before the function moves it: the two name
+  // different elements, so `prm` cannot stand for p's target.
+  EffectsOutcome out;
+  const PointerBaseMap bases = bases_of(
+      out,
+      "void k(int* prm) {\n"
+      "  int* p = prm;\n"
+      "  prm = prm + 1;\n"
+      "}\n",
+      "k");
+  EXPECT_EQ(describe(bases, "p"), "unresolved");
+}
+
+TEST(PointerBases, StaticLocalPointersAreUnresolved) {
+  EffectsOutcome out;
+  const PointerBaseMap bases = bases_of(
+      out,
+      "int a[8];\n"
+      "void k(void) {\n"
+      "  static int* p = a;\n"
+      "  int* q = p;\n"
+      "}\n",
+      "k");
+  EXPECT_EQ(describe(bases, "p"), "unresolved");
+  EXPECT_EQ(describe(bases, "q"), "unresolved");
+}
+
+// ---------------------------------------------------------------------------
 // Fixpoint inference
 // ---------------------------------------------------------------------------
 

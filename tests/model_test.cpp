@@ -10,7 +10,8 @@ namespace {
 
 /// Parses `src` and extracts the scop of the first for-loop in `fn_name`.
 ExtractionResult extract_from(const std::string& src,
-                              const std::string& fn_name) {
+                              const std::string& fn_name,
+                              const PointerTargets* pointers = nullptr) {
   SourceBuffer buf = SourceBuffer::from_string(src);
   DiagnosticEngine diags;
   TranslationUnit tu = parse(buf, diags);
@@ -27,7 +28,39 @@ ExtractionResult extract_from(const std::string& src,
   EXPECT_NE(loop, nullptr);
   static std::vector<std::unique_ptr<TranslationUnit>> keep_alive;
   keep_alive.push_back(std::make_unique<TranslationUnit>(std::move(tu)));
-  return extract_scop(*loop);
+  return extract_scop(*loop, pointers);
+}
+
+TEST(ScopExtraction, AnUnresolvedLocalPointerKeepsTheNestOut) {
+  const PointerTargets pointers = {
+      {"p", {"", 0, "may point into 'a' or 'b' (bound at line 2)"}}};
+  auto r = extract_from(
+      "void k(int* a, int* b, int n) {\n"
+      "  int* p = a;\n"
+      "  if (n) p = b;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i] = a[i];\n"
+      "}\n",
+      "k", &pointers);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure_reason,
+            "access through local pointer 'p', which may point into 'a' or "
+            "'b' (bound at line 2)");
+  EXPECT_EQ(r.failure_loc.line, 5u);
+}
+
+TEST(ScopExtraction, APointerIndexedAtAnotherRankThanItsBaseIsRejected) {
+  const PointerTargets pointers = {{"p", {"a", 0, ""}}};
+  auto r = extract_from(
+      "void k(float** a, int n) {\n"
+      "  float** p = a;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    p[i][0] = a[i + 1];\n"
+      "}\n",
+      "k", &pointers);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.failure_reason.find("different ranks"), std::string::npos)
+      << r.failure_reason;
 }
 
 TEST(ScopExtraction, RectangularNest) {

@@ -419,6 +419,32 @@ TEST(Purity, Listing5RuleIsHardErrorByDefault) {
   EXPECT_TRUE(out.diags.has_error_containing("Listing 5"));
 }
 
+TEST(Purity, Listing5RuleSeesNoErrorThroughAnAlias) {
+  // Listing 6's shape in both directions: the rule compares names, so a
+  // write through an alias raises no error and the nest stays a
+  // candidate (§3.4). Its roots carry both names and the pure callee,
+  // for the chain to match through the alias.
+  for (const char* body : {"    alias[i] = func(array, i);\n",
+                           "    array[i] = func(alias, i);\n"}) {
+    auto out = check(
+        std::string("pure int func(pure int* a, int idx) { return a[idx]; "
+                    "}\n"
+                    "void kernel(void) {\n"
+                    "  int array[100];\n"
+                    "  int* alias = array + 1;\n"
+                    "  for (int i = 1; i < 98; i++)\n") +
+        body + "}\n");
+    ASSERT_FALSE(out.diags.has_errors()) << body << out.diags.format();
+    ASSERT_EQ(out.result.scop_loops.size(), 1u) << body;
+    const NestRoots& roots = out.result.scop_loops[0].roots;
+    EXPECT_TRUE(listing5_conflicts(roots).empty()) << body;
+    EXPECT_EQ(roots.writes.size(), 1u);
+    EXPECT_EQ(roots.call_args.size(), 1u);
+    EXPECT_NE(roots.writes, roots.call_args);
+    EXPECT_EQ(roots.callees.at(*roots.call_args.begin()), "func");
+  }
+}
+
 TEST(Purity, Listing5RuleCanBeWarning) {
   PurityOptions options;
   options.listing5_violation_is_error = false;

@@ -86,8 +86,9 @@ int main() {
 }
 )";
 
-/// Listing 6: the alias evasion. The checker compares names only (§3.4),
-/// so this MUST pass — the limitation is part of the spec.
+/// Listing 6: the alias evasion. The checker compares names only, so it
+/// raises no error (§3.4). The chain keeps the loop serial: iteration i
+/// reads array[i - 1], which iteration i - 1 wrote through the alias.
 inline constexpr const char* kListing6 = R"(
 pure int func(pure int* a, int idx) {
   return a[idx - 1] + a[idx];
