@@ -60,9 +60,9 @@
 //                          Chrome trace-event JSON under PUREC_TRACE=FILE
 //
 //   purecc trace [--report report.json] trace.json
-//     Analyze a recorded trace: per-region wall time, worker imbalance,
-//     steal ratios, barrier/memo behavior; with --report, each region is
-//     joined (by region_id) to the compiler's schedule decisions.
+//     Analyze a recorded trace: per-region wall time and per-worker
+//     chunk split; with --report, each region is joined (by region_id)
+//     to the compiler's schedule decisions.
 //
 //   purecc trace --diff baseline.json candidate.json [--threshold F]
 //     Region-by-region wall-time comparison; exits 1 when any region

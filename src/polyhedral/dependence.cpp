@@ -64,7 +64,9 @@ namespace {
     for (std::size_t i = 0; i < p; ++i) coeffs[2 * d + i] = c.coeffs[d + i];
     sys.add(Constraint{c.kind, std::move(coeffs), c.constant});
   }
-  // Subscript equality per dimension: sub_src(i) == sub_dst(i').
+  // Subscript equality per dimension: sub_src(i) == sub_dst(i'). A
+  // pure call's read of any element meets every element.
+  if (src.any_element || dst.any_element) return sys;
   for (std::size_t s = 0; s < src.subscripts.size(); ++s) {
     const AffineForm& a = src.subscripts[s];
     const AffineForm& b = dst.subscripts[s];
@@ -148,13 +150,18 @@ std::vector<Dependence> analyze_dependences(const Scop& scop) {
       const bool reduction_pair =
           (si == ti || (S.ast != nullptr && S.ast == T.ast)) &&
           reduction_exemptible(S.reduction_op);
-      for (const Access& a : S.accesses) {
-        for (const Access& b : T.accesses) {
+      for (std::size_t ai = 0; ai < S.accesses.size(); ++ai) {
+        const Access& a = S.accesses[ai];
+        for (std::size_t bi = 0; bi < T.accesses.size(); ++bi) {
+          const Access& b = T.accesses[bi];
           if (a.array != b.array) continue;
           if (a.kind == AccessKind::Read && b.kind == AccessKind::Read) {
             continue;
           }
-          if (a.subscripts.size() != b.subscripts.size()) continue;
+          if (a.subscripts.size() != b.subscripts.size() &&
+              !a.any_element && !b.any_element) {
+            continue;
+          }
           const bool is_reduction =
               reduction_pair && a.array == S.reduction_accumulator;
 
@@ -168,6 +175,8 @@ std::vector<Dependence> analyze_dependences(const Scop& scop) {
             Dependence dep;
             dep.src_stmt = si;
             dep.dst_stmt = ti;
+            dep.src_access = ai;
+            dep.dst_access = bi;
             dep.array = a.array;
             dep.kind = classify(a.kind, b.kind);
             dep.level = level;
@@ -192,6 +201,8 @@ std::vector<Dependence> analyze_dependences(const Scop& scop) {
               Dependence dep;
               dep.src_stmt = si;
               dep.dst_stmt = ti;
+              dep.src_access = ai;
+              dep.dst_access = bi;
               dep.array = a.array;
               dep.kind = classify(a.kind, b.kind);
               dep.level = d + 1;
@@ -207,6 +218,20 @@ std::vector<Dependence> analyze_dependences(const Scop& scop) {
     }
   }
   return deps;
+}
+
+std::string pure_call_read(const Scop& scop, const Dependence& dep) {
+  const Access* src = &scop.statements[dep.src_stmt].accesses[dep.src_access];
+  const Access* dst = &scop.statements[dep.dst_stmt].accesses[dep.dst_access];
+  // Reads never pair with reads, so the other end is the write.
+  const Access* read = !src->pure_call.empty() ? src : dst;
+  const Access* write = read == src ? dst : src;
+  if (read->pure_call.empty()) return {};
+  return "pure function '" + read->pure_call + "' reads '" + dep.array +
+         "'" + (read->via.empty() ? "" : " through " + read->via) +
+         ", which is written" +
+         (write->via.empty() ? "" : " through " + write->via) +
+         " in the same loop nest";
 }
 
 bool level_is_parallel(const std::vector<Dependence>& deps, std::size_t level,

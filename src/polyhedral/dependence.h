@@ -32,6 +32,9 @@ enum class DependenceKind : std::uint8_t {
 struct Dependence {
   std::size_t src_stmt = 0;
   std::size_t dst_stmt = 0;
+  /// The two accesses, as indices into their statements' `accesses`.
+  std::size_t src_access = 0;
+  std::size_t dst_access = 0;
   std::string array;
   DependenceKind kind = DependenceKind::Flow;
   /// 1-based position in the pair's common loop chain carrying the
@@ -65,8 +68,17 @@ struct Dependence {
   [[nodiscard]] std::string to_string(const Scop& scop) const;
 };
 
-/// All dependences of the scop, split by level.
+/// All dependences of the scop, split by level. An any-element access
+/// (a pure call's read) pairs with every access of its base, with no
+/// subscript equalities.
 [[nodiscard]] std::vector<Dependence> analyze_dependences(const Scop& scop);
+
+/// When one end of `dep` (from analyze_dependences(scop)) is a pure
+/// call's read, the located words for it: the pure function, the array,
+/// and each local pointer either end goes through with its binding line.
+/// Empty otherwise.
+[[nodiscard]] std::string pure_call_read(const Scop& scop,
+                                         const Dependence& dep);
 
 /// Convenience queries used by the scheduler and tests.
 [[nodiscard]] bool level_is_parallel(const std::vector<Dependence>& deps,

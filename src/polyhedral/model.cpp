@@ -475,7 +475,8 @@ constexpr std::size_t kMaxGuardDisjuncts = 4;
 
 class Extractor {
  public:
-  explicit Extractor(const PointerTargets* pointers) : pointers_(pointers) {}
+  Extractor(const PointerTargets* pointers, const PureCallReads* calls)
+      : pointers_(pointers), calls_(calls) {}
 
   [[nodiscard]] ExtractionResult run(const ForStmt& root) {
     ExtractionResult result = run_impl(root);
@@ -701,6 +702,22 @@ class Extractor {
         result.failure_loc = p.ast->loc;
         return result;
       }
+      // What the statement's pure calls read, wherever the placeholders
+      // sit: the statement itself, a guard on its path, or the bounds of
+      // an enclosing loop.
+      std::vector<const Expr*> sites{p.assign};
+      for (const GuardRef& guard : p.guards) sites.push_back(guard.cond);
+      for (std::size_t loop_index : p.chain) {
+        const LoopHeader& h = loops_[loop_index].header;
+        sites.push_back(h.lower);
+        sites.insert(sites.end(), h.uppers.begin(), h.uppers.end());
+      }
+      for (const Expr* site : sites) {
+        if (!add_call_reads(*site, stmt, result.failure_reason)) {
+          result.failure_loc = p.ast->loc;
+          return result;
+        }
+      }
       // One model statement per guard disjunct. Copies share the source
       // statement's ast and textual position: the dependence analyzer's
       // same-position ordering covers them, and downstream passes that
@@ -720,13 +737,15 @@ class Extractor {
       if (stmt.reduction_op == ReductionOp::None) continue;
       // Disjunct copies of one source statement are not "other"
       // statements — they execute the same update, so seeing the
-      // accumulator there does not make it observable.
+      // accumulator there does not make it observable. A pure call in
+      // the update itself that reads the accumulator does.
       bool escapes = false;
       for (std::size_t t = 0; t < scop.statements.size() && !escapes;
            ++t) {
-        if (scop.statements[t].ast == stmt.ast) continue;
+        const bool same = scop.statements[t].ast == stmt.ast;
         for (const Access& a : scop.statements[t].accesses) {
-          if (a.array == stmt.reduction_accumulator) {
+          if (a.array == stmt.reduction_accumulator &&
+              (!same || !a.pure_call.empty())) {
             escapes = true;
             break;
           }
@@ -758,7 +777,7 @@ class Extractor {
       std::optional<std::size_t> rank;
       for (const ScopStatement& stmt : scop.statements) {
         for (const Access& a : stmt.accesses) {
-          if (a.array != base) continue;
+          if (a.array != base || a.any_element) continue;
           if (rank && *rank != a.subscripts.size()) {
             result.failure_reason =
                 "local pointer '" + pointer + "' and array '" + base +
@@ -1180,18 +1199,30 @@ class Extractor {
     }
     // Through a local pointer: name the access by what it points into.
     if (const PointerTarget* t = target_of(base)) {
-      if (t->base.empty()) {
+      if (t->bases.size() != 1 || !t->offset) {
+        const std::string bound = bound_at(*t);
+        if (t->bases.empty()) {
+          failure = "may point anywhere";
+        } else if (t->bases.size() > 1) {
+          failure = "may point into";
+          for (const std::string& b : t->bases) {
+            failure += (b == *t->bases.begin() ? " '" : " or '") + b + "'";
+          }
+        } else {
+          failure = "moves by an offset that is not a constant";
+        }
         failure = "access through local pointer '" + base + "', which " +
-                  t->unknown;
+                  failure + bound;
         return false;
       }
       std::int64_t& first = a.subscripts.front().constant;
-      if (__builtin_add_overflow(first, t->offset, &first)) {
+      if (__builtin_add_overflow(first, *t->offset, &first)) {
         failure = "offset of local pointer '" + base + "' overflows";
         return false;
       }
-      a.array = t->base;
-      aliased_.emplace(t->base, base);
+      a.array = *t->bases.begin();
+      a.via = "local pointer '" + base + "'" + bound_at(*t);
+      aliased_.emplace(a.array, base);
     }
     stmt.accesses.push_back(std::move(a));
     return true;
@@ -1201,8 +1232,72 @@ class Extractor {
   [[nodiscard]] const PointerTarget* target_of(const std::string& name) const {
     if (pointers_ == nullptr) return nullptr;
     const auto it = pointers_->find(name);
-    if (it == pointers_->end() || it->second.base == name) return nullptr;
-    return &it->second;
+    if (it == pointers_->end()) return nullptr;
+    const PointerTarget& t = it->second;
+    if (t.bases.size() == 1 && *t.bases.begin() == name && t.offset) {
+      return nullptr;
+    }
+    return &t;
+  }
+
+  [[nodiscard]] static std::string bound_at(const PointerTarget& t) {
+    return t.line != 0 ? " (bound at line " + std::to_string(t.line) + ")"
+                       : "";
+  }
+
+  /// Adds what the pure calls behind the placeholders in `e` read: each
+  /// variable named in a call (callee names are harmless extras) and
+  /// each global its callees read, as a whole. A local pointer reads
+  /// every base it may point into; one that may point anywhere keeps the
+  /// nest out.
+  bool add_call_reads(const Expr& e, ScopStatement& stmt,
+                      std::string& failure) {
+    if (calls_ == nullptr) return true;
+    bool ok = true;
+    for_each_expr(e, [&](const Expr& sub) {
+      const auto* ident = expr_cast<IdentExpr>(&sub);
+      const auto call = ident != nullptr ? calls_->calls.find(ident->name)
+                                         : calls_->calls.end();
+      if (!ok || call == calls_->calls.end()) return;
+      std::set<std::string> names;
+      for_each_expr(*call->second, [&](const Expr& part) {
+        if (const auto* name = expr_cast<IdentExpr>(&part)) {
+          names.insert(name->name);
+        }
+        const auto* c = expr_cast<CallExpr>(&part);
+        const auto globals = c != nullptr
+                                 ? calls_->global_reads.find(c->callee_name())
+                                 : calls_->global_reads.end();
+        if (globals != calls_->global_reads.end()) {
+          names.insert(globals->second.begin(), globals->second.end());
+        }
+      });
+      const std::string callee =
+          static_cast<const CallExpr&>(*call->second).callee_name();
+      const auto read = [&](const std::string& array, std::string via) {
+        for (const Access& a : stmt.accesses) {
+          if (a.any_element && a.array == array) return;
+        }
+        stmt.accesses.push_back(Access{AccessKind::Read, array, {}, true,
+                                       callee, std::move(via)});
+      };
+      for (const std::string& name : names) {
+        read(name, {});
+        const PointerTarget* t = target_of(name);
+        if (t == nullptr) continue;
+        if (t->bases.empty()) {
+          failure = "local pointer '" + name + "' may point anywhere" +
+                    bound_at(*t) + ", and pure function '" + callee +
+                    "' reads through it";
+          ok = false;
+          return;
+        }
+        for (const std::string& base : t->bases) {
+          read(base, "local pointer '" + name + "'" + bound_at(*t));
+        }
+      }
+    });
+    return ok;
   }
 
   bool collect_reads(const Expr& e, AffineBuilder& builder,
@@ -1266,6 +1361,7 @@ class Extractor {
   }
 
   const PointerTargets* pointers_;
+  const PureCallReads* calls_;
   /// Bases reached through a local pointer -> one such pointer.
   std::map<std::string, std::string> aliased_;
   std::vector<LoopNode> loops_;
@@ -1279,8 +1375,9 @@ class Extractor {
 }  // namespace
 
 ExtractionResult extract_scop(const ForStmt& loop,
-                              const PointerTargets* pointers) {
-  Extractor extractor(pointers);
+                              const PointerTargets* pointers,
+                              const PureCallReads* calls) {
+  Extractor extractor(pointers, calls);
   return extractor.run(loop);
 }
 

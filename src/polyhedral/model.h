@@ -28,12 +28,15 @@
 // the `else` side where the negation is the affine equality). Pure
 // function calls have already been substituted by `tmpConst_*`
 // identifiers when extraction runs, which is exactly why the paper's
-// chain can feed these nests to PluTo.
+// chain can feed these nests to PluTo. Each placeholder's statement
+// reads what its call reads (`PureCallReads`): every variable named in
+// the arguments, and the globals the callee reads, each as a whole.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,14 @@ struct Access {
   AccessKind kind = AccessKind::Read;
   std::string array;                  // base variable name
   std::vector<AffineForm> subscripts; // empty for scalars
+  /// Any element of `array`, with no subscripts: what a pure call reads.
+  /// The dependence analysis pairs it with every access of the same base.
+  bool any_element = false;
+  /// The pure function whose call makes this read; empty otherwise.
+  std::string pure_call;
+  /// The local pointer the access goes through, with its binding line
+  /// ("local pointer 'p' (bound at line 5)"); empty for a direct access.
+  std::string via;
 };
 
 /// One statement instance set: its accesses, its textual position, and —
@@ -178,25 +189,43 @@ struct ExtractionResult {
 
 /// Where accesses through one local pointer land in the access model:
 /// `p[e]...` is named `base[e + offset]...`, so a write through an alias
-/// meets the reads of the array it points into. The chain builds these
-/// from the purity layer's pointer-base map (purity/effects.h), which
-/// this layer does not link.
+/// meets the reads of the array it points into, and a pure call passed
+/// `p` reads the whole of every base. The chain builds these from the
+/// purity layer's pointer-base map (purity/effects.h), which this layer
+/// does not link.
 struct PointerTarget {
-  /// The one named array the pointer points into; empty when that is not
-  /// known, and then `unknown` is the located reason.
-  std::string base;
-  std::int64_t offset = 0;
-  std::string unknown;
+  /// The named arrays the pointer may point into; empty when it may
+  /// point anywhere.
+  std::set<std::string> bases;
+  /// Constant element offset into the one base, when every binding
+  /// agrees on it.
+  std::optional<std::int64_t> offset;
+  /// Line of the pointer's first binding; 0 when unknown.
+  std::uint32_t line = 0;
 };
 
-/// Local pointer name -> target. A nest that accesses a pointer listed
-/// here without a base does not extract (its reason names the pointer).
+/// Local pointer name -> target. A nest that subscripts a pointer listed
+/// here without one base at a constant offset, or passes one that may
+/// point anywhere to a pure call, does not extract (its reason names the
+/// pointer).
 using PointerTargets = std::map<std::string, PointerTarget>;
 
+/// The pure calls that substitution hid behind `tmpConst_*` placeholders
+/// (§3.3), so that each placeholder's statement reads what its call
+/// reads.
+struct PureCallReads {
+  /// Placeholder name -> the call it stands for (not owned).
+  std::map<std::string, const Expr*> calls;
+  /// Pure function -> the globals a call to it reads, transitively.
+  std::map<std::string, std::set<std::string>> global_reads;
+};
+
 /// Extracts the polyhedral model from `loop` by walking its region.
-/// Without `pointers`, every access is named by its own identifier.
+/// Without `pointers`, every access is named by its own identifier;
+/// without `calls`, a placeholder reads nothing.
 [[nodiscard]] ExtractionResult extract_scop(
-    const ForStmt& loop, const PointerTargets* pointers = nullptr);
+    const ForStmt& loop, const PointerTargets* pointers = nullptr,
+    const PureCallReads* calls = nullptr);
 
 /// The statement's effective domain/loop chain with the hand-built-scop
 /// fallbacks applied (shared domain, full chain).

@@ -100,6 +100,7 @@ class InferenceEngine {
     SourceLocation verdict_loc;
     std::string verdict_member;
     std::set<std::string> scc_global_reads;
+    std::set<std::string> call_reads;
 
     for (const CallGraphNode* node : candidates) {
       const FunctionScopeInfo* scope = symbols_.scope_for(*node->definition);
@@ -119,6 +120,8 @@ class InferenceEngine {
       }
       scc_global_reads.insert(effects.global_reads.begin(),
                               effects.global_reads.end());
+      call_reads.insert(effects.global_reads.begin(),
+                        effects.global_reads.end());
       for (const std::string& callee : effects.callees) {
         if (members.count(callee) != 0) continue;  // optimistic intra-SCC
         const CalleeView view = view_of(callee);
@@ -166,6 +169,13 @@ class InferenceEngine {
     // nests that call the wrapper.
     for (const CallGraphNode* node : scc) {
       if (!is_annotated(*node) || node->definition == nullptr) continue;
+      if (const FunctionScopeInfo* scope =
+              symbols_.scope_for(*node->definition)) {
+        const EffectSummary effects = compute_effects(
+            *node->definition, *scope, options_.allow_malloc_free);
+        call_reads.insert(effects.global_reads.begin(),
+                          effects.global_reads.end());
+      }
       FunctionPurity& p = result_.functions[node->name];
       if (verdict.empty()) {
         p.global_reads.insert(scc_global_reads.begin(),
@@ -179,6 +189,22 @@ class InferenceEngine {
                                 view.global_reads->end());
         }
       }
+    }
+
+    // A call to any member reads what every member and every callee
+    // outside the SCC reads.
+    for (const CallGraphNode* node : scc) {
+      for (const std::string& callee : node->callees) {
+        const auto it = result_.functions.find(callee);
+        if (members.count(callee) == 0 && it != result_.functions.end()) {
+          call_reads.insert(it->second.call_reads.begin(),
+                            it->second.call_reads.end());
+        }
+      }
+    }
+    for (const CallGraphNode* node : scc) {
+      const auto it = result_.functions.find(node->name);
+      if (it != result_.functions.end()) it->second.call_reads = call_reads;
     }
   }
 

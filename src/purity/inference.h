@@ -43,6 +43,10 @@ struct FunctionPurity {
   /// Globals the function reads, transitively through inferred callees.
   /// Used as implicit call arguments by the Listing-5 scop rule.
   std::set<std::string> global_reads;
+  /// Every global a call to the function may read: its own body's reads
+  /// and those of every defined callee, declared-pure bodies included.
+  /// The access model reads these at each call site.
+  std::set<std::string> call_reads;
 };
 
 struct InferenceResult {

@@ -364,7 +364,16 @@ void PurityChecker::verify_function(const FunctionDecl& fn) {
 
 namespace {
 
-/// Collects a nest's NestRoots and whether all its calls are pure.
+struct Listing5Conflict {
+  std::string name;
+  /// The conflict came through an inferred function's global read, not a
+  /// literal call argument.
+  bool implicit_global = false;
+};
+
+/// Applies the Listing-5 rule to one nest and records whether all its
+/// calls are pure. The rule compares names only, so an alias raises no
+/// error (§3.4, Listing 6).
 class ScopScanner {
  public:
   ScopScanner(const FunctionScopeInfo& scope,
@@ -378,12 +387,21 @@ class ScopScanner {
   struct NestReport {
     bool all_calls_pure = true;
     bool contains_calls = false;
-    NestRoots roots;
+    /// An array both written and passed to a pure call, or a global both
+    /// written and read by an inferred-pure callee without being passed.
+    std::vector<Listing5Conflict> conflicts;
   };
 
   [[nodiscard]] NestReport scan(const ForStmt& loop) {
     NestReport report;
-    NestRoots& roots = report.roots;
+    // Pointer/array variables in pure-call arguments, and the globals the
+    // nest's inferred-pure callees read (inference provenance).
+    std::set<std::string> call_args;
+    std::set<std::string> implicit_globals;
+    // Roots written through a subscript or dereference (`a[i] = ...`),
+    // and globals written through a subscript or bare.
+    std::set<std::string> writes;
+    std::set<std::string> global_writes;
 
     const auto record_write = [&](const Expr& lhs) {
       const Symbol* root = scope_.lvalue_root(lhs);
@@ -392,16 +410,16 @@ class ScopScanner {
                              root->kind == SymbolKind::Unknown;
       const LvalueShape shape = lvalue_shape(lhs);
       if (shape == LvalueShape::Through) {
-        roots.writes.insert(root->name);
+        writes.insert(root->name);
         // The inference-provenance rule matches globals only, so a local
         // that shadows a global's name cannot trigger it.
-        if (is_global) roots.global_writes.insert(root->name);
+        if (is_global) global_writes.insert(root->name);
       } else if (shape == LvalueShape::Bare && is_global) {
         // Only the inference-provenance rule below sees these; the
         // paper's argument rule stays name+Through based. A write through
         // a local alias (Listing 6) is no error here; the chain keeps
         // that nest serial. Global pointer swaps are pinned behavior.
-        roots.global_writes.insert(root->name);
+        global_writes.insert(root->name);
       }
     };
 
@@ -414,14 +432,14 @@ class ScopScanner {
           return;
         }
         for (const ExprPtr& arg : call->args) {
-          collect_pointer_roots(*arg, name, roots);
+          collect_pointer_roots(*arg, call_args);
         }
         // Inference provenance: globals the callee reads behave like
         // arguments of the call.
         const auto reads = assumed_global_reads_.find(name);
         if (reads != assumed_global_reads_.end()) {
-          roots.implicit_globals.insert(reads->second.begin(),
-                                        reads->second.end());
+          implicit_globals.insert(reads->second.begin(),
+                                  reads->second.end());
         }
         return;
       }
@@ -441,22 +459,29 @@ class ScopScanner {
         return;
       }
     });
+    for (const std::string& w : writes) {
+      if (call_args.count(w) != 0) report.conflicts.push_back({w, false});
+    }
+    for (const std::string& w : global_writes) {
+      if (call_args.count(w) == 0 && implicit_globals.count(w) != 0) {
+        report.conflicts.push_back({w, true});
+      }
+    }
     return report;
   }
 
  private:
   /// Adds the names of pointer/array variables appearing in an argument
-  /// of a call to `callee`.
-  void collect_pointer_roots(const Expr& arg, const std::string& callee,
-                             NestRoots& roots) {
+  /// of a pure call.
+  void collect_pointer_roots(const Expr& arg,
+                             std::set<std::string>& call_args) {
     for_each_expr(arg, [&](const Expr& e) {
       const auto* ident = expr_cast<IdentExpr>(&e);
       if (ident == nullptr) return;
       const Symbol* sym = scope_.resolve(*ident);
       if (sym == nullptr) return;
       if (sym->type && (sym->type->is_pointer() || sym->type->is_array())) {
-        roots.call_args.insert(sym->name);
-        roots.callees.emplace(sym->name, callee);
+        call_args.insert(sym->name);
       }
     });
   }
@@ -467,30 +492,6 @@ class ScopScanner {
 };
 
 }  // namespace
-
-void NestRoots::merge(const NestRoots& other) {
-  call_args.insert(other.call_args.begin(), other.call_args.end());
-  callees.insert(other.callees.begin(), other.callees.end());
-  implicit_globals.insert(other.implicit_globals.begin(),
-                          other.implicit_globals.end());
-  writes.insert(other.writes.begin(), other.writes.end());
-  global_writes.insert(other.global_writes.begin(),
-                       other.global_writes.end());
-}
-
-std::vector<Listing5Conflict> listing5_conflicts(const NestRoots& roots) {
-  std::vector<Listing5Conflict> conflicts;
-  for (const std::string& w : roots.writes) {
-    if (roots.call_args.count(w) != 0) conflicts.push_back({w, false});
-  }
-  for (const std::string& w : roots.global_writes) {
-    if (roots.call_args.count(w) == 0 &&
-        roots.implicit_globals.count(w) != 0) {
-      conflicts.push_back({w, true});
-    }
-  }
-  return conflicts;
-}
 
 void PurityChecker::detect_scops(const FunctionDecl& fn) {
   const FunctionScopeInfo* scope = symbols_.scope_for(fn);
@@ -504,12 +505,11 @@ void PurityChecker::detect_scops(const FunctionDecl& fn) {
                                                     bool inside_marked) {
     if (const auto* loop = stmt_cast<ForStmt>(&s)) {
       if (!inside_marked) {
-        ScopScanner::NestReport report = scanner.scan(*loop);
-        const std::vector<Listing5Conflict> conflicts =
-            listing5_conflicts(report.roots);
+        const ScopScanner::NestReport report = scanner.scan(*loop);
+        const std::vector<Listing5Conflict>& conflicts = report.conflicts;
         if (report.all_calls_pure && conflicts.empty()) {
-          result_.scop_loops.push_back(ScopCandidate{
-              &fn, loop, report.contains_calls, std::move(report.roots)});
+          result_.scop_loops.push_back(
+              ScopCandidate{&fn, loop, report.contains_calls});
           inside_marked = true;
         } else if (!conflicts.empty()) {
           for (const Listing5Conflict& v : conflicts) {

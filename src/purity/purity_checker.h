@@ -15,8 +15,9 @@
 //  * loop nests are SCoP candidates when all calls inside are pure; a pure
 //    call argument that is also written in the nest is an error (§3.4,
 //    Listing 5). The rule compares names, so a write through a local
-//    alias (Listing 6) raises no error, as §3.4 documents; the chain
-//    (transform/pure_chain.h) keeps such a nest serial instead.
+//    alias (Listing 6) raises no error, as §3.4 documents; the chain's
+//    access model (polyhedral/model.h) sees what each pure call reads
+//    and keeps such a nest serial instead.
 #pragma once
 
 #include <map>
@@ -50,47 +51,10 @@ struct PurityOptions {
   std::map<std::string, std::set<std::string>> assumed_global_reads;
 };
 
-/// The names the Listing-5 rule compares, collected over one loop nest.
-/// The rule compares names only, so an alias raises no error (§3.4,
-/// Listing 6); the chain matches these roots through local pointers.
-struct NestRoots {
-  /// Pointer/array variables appearing in pure-call arguments.
-  std::set<std::string> call_args;
-  /// The pure function each call-argument root is first passed to.
-  std::map<std::string, std::string> callees;
-  /// Globals read by the inferred-pure functions the nest calls
-  /// (inference provenance).
-  std::set<std::string> implicit_globals;
-  /// Roots written through a subscript or dereference (`a[i] = ...`).
-  std::set<std::string> writes;
-  /// Globals written, through a subscript or bare.
-  std::set<std::string> global_writes;
-
-  /// Adds `other`'s names: the roots of the two nests as one nest.
-  void merge(const NestRoots& other);
-};
-
-struct Listing5Conflict {
-  std::string name;
-  /// The conflict came through an inferred function's global read, not a
-  /// literal call argument.
-  bool implicit_global = false;
-};
-
-/// The Listing-5 rule over one nest's roots: an array both written and
-/// passed to a pure call, or a global both written and read by an
-/// inferred-pure callee without being passed. Empty when the nest obeys
-/// the rule.
-[[nodiscard]] std::vector<Listing5Conflict> listing5_conflicts(
-    const NestRoots& roots);
-
 struct ScopCandidate {
   const FunctionDecl* function = nullptr;
   const ForStmt* loop = nullptr;  // outermost loop of the nest
   bool contains_calls = false;    // false = plain affine nest, no calls
-  /// What the nest passes to pure calls and writes, so that merging it
-  /// with a sibling nest (loop fusion) can re-apply the Listing-5 rule.
-  NestRoots roots;
 };
 
 struct PurityResult {

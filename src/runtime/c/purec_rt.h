@@ -410,15 +410,16 @@ static inline int purec_memo_lookup(const purec_memo_table* t,
     purec_memo_word tag, val;
     int verified = 1;
     if (s1 & 1u) continue;
-    tag = __atomic_load_n(&s->tag, __ATOMIC_RELAXED);
-    val = __atomic_load_n(&s->value, __ATOMIC_RELAXED);
+    /* Acquire loads keep the seq re-read below after every data load
+     * (a fence would too, but ThreadSanitizer does not model fences). */
+    tag = __atomic_load_n(&s->tag, __ATOMIC_ACQUIRE);
+    val = __atomic_load_n(&s->value, __ATOMIC_ACQUIRE);
     if (t->verify && tag == key) {
       const purec_memo_word* rec = sh->vwords + idx * PUREC_MEMO_VSTRIDE;
-      verified = __atomic_load_n(&rec[0], __ATOMIC_RELAXED) == kn;
+      verified = __atomic_load_n(&rec[0], __ATOMIC_ACQUIRE) == kn;
       for (w = 0; verified && w < kn; w++)
-        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_RELAXED) == kw[w];
+        verified = __atomic_load_n(&rec[1 + w], __ATOMIC_ACQUIRE) == kw[w];
     }
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
     if (__atomic_load_n(&s->seq, __ATOMIC_RELAXED) != s1) continue;
     if (tag == key) {
       if (!verified) return 0; /* fingerprint alias: recompute */

@@ -161,11 +161,6 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
       if (args != nullptr && args->find("dropped") != nullptr) {
         summary.dropped +=
             static_cast<std::uint64_t>(find_int(*args, "dropped"));
-      } else if (cat == "steal") {
-        // Steals are instants attributed to their region.
-        RegionTrace& region =
-            region_for("region " + std::to_string(region_id), region_id);
-        region.steals += 1;
       }
       continue;
     }
@@ -178,7 +173,7 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
         for (const auto& [key, value] : *members) {
           if (key.size() < 2 || key[0] != 'w') continue;
           const std::int64_t worker = std::atoll(key.c_str() + 1);
-          region.workers[worker].chunks +=
+          region.workers[worker] +=
               static_cast<std::uint64_t>(value.as_int());
           region.chunk_events +=
               static_cast<std::uint64_t>(value.as_int());
@@ -186,96 +181,29 @@ std::optional<TraceSummary> analyze_trace(const json::Value& trace,
       }
       continue;
     }
-    if (ph != "X") continue;
-    if (cat == "region") {
+    if (ph == "X" && cat == "region") {
       RegionTrace& region = region_for(name, region_id);
       region.executions += 1;
       region.wall_us += dur_us;
-    } else if (cat == "chunk") {
-      RegionTrace& region =
-          region_for("region " + std::to_string(region_id), region_id);
-      const std::int64_t tid = find_int(event, "tid");
-      region.workers[tid].chunks += 1;
-      region.workers[tid].busy_us += dur_us;
-      region.chunk_events += 1;
-    } else if (cat == "barrier") {
-      if (name == "barrier_park") {
-        summary.barrier_parks += 1;
-        summary.barrier_park_us += dur_us;
-      } else {
-        summary.barrier_spins += 1;
-        summary.barrier_spin_us += dur_us;
-      }
-    } else if (cat == "memo") {
-      if (name == "memo_hit") {
-        summary.memo_hits += 1;
-      } else {
-        summary.memo_misses += 1;
-      }
     }
-  }
-  // Fold placeholder rows ("region N", the runtime's unregistered-name
-  // spelling) into a named region carrying the same id — a mixed trace
-  // then shows one row per region with both runtimes' data joined.
-  for (auto it = summary.regions.begin(); it != summary.regions.end();) {
-    RegionTrace& placeholder = it->second;
-    if (placeholder.region_id < 0 ||
-        it->first != "region " + std::to_string(placeholder.region_id)) {
-      ++it;
-      continue;
-    }
-    RegionTrace* named = nullptr;
-    for (auto& [name, region] : summary.regions) {
-      if (&region != &placeholder &&
-          region.region_id == placeholder.region_id) {
-        named = &region;
-        break;
-      }
-    }
-    if (named == nullptr) {
-      ++it;
-      continue;
-    }
-    named->executions += placeholder.executions;
-    named->wall_us += placeholder.wall_us;
-    named->chunk_events += placeholder.chunk_events;
-    named->steals += placeholder.steals;
-    for (const auto& [tid, load] : placeholder.workers) {
-      named->workers[tid].chunks += load.chunks;
-      named->workers[tid].busy_us += load.busy_us;
-    }
-    it = summary.regions.erase(it);
   }
   if (report != nullptr) join_report(*report, &summary);
   return summary;
 }
 
 double region_imbalance(const RegionTrace& region) {
-  double max_busy = 0.0;
-  double total_busy = 0.0;
+  std::uint64_t max_chunks = 0;
+  std::uint64_t total_chunks = 0;
   std::size_t lanes = 0;
-  bool have_time = false;
-  for (const auto& [tid, load] : region.workers) {
-    if (load.busy_us > 0.0) have_time = true;
-  }
-  for (const auto& [tid, load] : region.workers) {
-    // Prefer busy time; a chunk-count-only trace (emitted-C counter
-    // event) falls back to counts, which still exposes a skewed split.
-    const double busy =
-        have_time ? load.busy_us : static_cast<double>(load.chunks);
-    if (busy <= 0.0) continue;
-    max_busy = std::max(max_busy, busy);
-    total_busy += busy;
+  for (const auto& [worker, chunks] : region.workers) {
+    if (chunks == 0) continue;
+    max_chunks = std::max(max_chunks, chunks);
+    total_chunks += chunks;
     ++lanes;
   }
-  if (lanes == 0 || total_busy <= 0.0) return 0.0;
-  return max_busy / (total_busy / static_cast<double>(lanes));
-}
-
-double region_steal_ratio(const RegionTrace& region) {
-  if (region.chunk_events == 0) return 0.0;
-  return static_cast<double>(region.steals) /
-         static_cast<double>(region.chunk_events);
+  if (lanes == 0) return 0.0;
+  return static_cast<double>(max_chunks) /
+         (static_cast<double>(total_chunks) / static_cast<double>(lanes));
 }
 
 std::string render_trace_summary(const TraceSummary& s) {
@@ -291,7 +219,6 @@ std::string render_trace_summary(const TraceSummary& s) {
     if (imbalance > 0.0) out += " imbalance=" + format_fixed(imbalance);
     if (region.chunk_events > 0) {
       out += " chunks=" + std::to_string(region.chunk_events);
-      out += " steal_ratio=" + format_fixed(region_steal_ratio(region));
     }
     out += "\n";
     if (region.in_report) {
@@ -305,16 +232,6 @@ std::string render_trace_summary(const TraceSummary& s) {
       out += region.decisions;
       out += ")\n";
     }
-  }
-  if (s.barrier_spins + s.barrier_parks > 0) {
-    out += "purecc-trace: barrier spins=" + std::to_string(s.barrier_spins) +
-           " spin_ms=" + format_fixed(s.barrier_spin_us / 1000.0) +
-           " parks=" + std::to_string(s.barrier_parks) +
-           " park_ms=" + format_fixed(s.barrier_park_us / 1000.0) + "\n";
-  }
-  if (s.memo_hits + s.memo_misses > 0) {
-    out += "purecc-trace: memo hits=" + std::to_string(s.memo_hits) +
-           " misses=" + std::to_string(s.memo_misses) + "\n";
   }
   for (const MemoModelRow& row : s.memo_model) {
     out += "purecc-trace: memo-model " + row.function +

@@ -1,13 +1,12 @@
 // Trace analysis for `purecc trace` — ingests a Chrome trace-event array
-// (the cooperative file --instrument runs append to: region events and
-// per-worker chunk counters on pid 1; pid-2 chunk/steal/barrier events
-// are parsed too, though no current runtime writes them) and optionally
-// the compile-time JSON report (report_version >= 3), joining the two
-// through the stable `region_id` the compiler stamps on scops and the
-// runtime stamps on events. The result answers the questions a
-// schedule experiment asks: where did the wall time go, how imbalanced
-// was the work split, how much stealing absorbed it, and which compiler
-// decision (schedule clause, fission, reduction) produced that behavior.
+// (the cooperative file --instrument runs append to: region events,
+// per-worker chunk counters and ring-overflow markers, all on pid 1) and
+// optionally the compile-time JSON report (report_version >= 3), joining
+// the two through the stable `region_id` the compiler stamps on scops
+// and the runtime stamps on events. The result answers the questions a
+// schedule experiment asks: where did the wall time go, how the work
+// was split across workers, and which compiler decision (schedule
+// clause, fission, reduction) produced that behavior.
 //
 // `diff_traces` compares two analyses region-by-region and flags wall-time
 // regressions past a threshold — the CI perf gate behind
@@ -24,24 +23,19 @@
 
 namespace purec::tools {
 
-/// One worker lane's share of a region (from pid-2 chunk events, or the
-/// emitted-C per-worker chunk counter event when that is all the trace
-/// has).
-struct WorkerLoad {
-  std::uint64_t chunks = 0;
-  double busy_us = 0.0;
-};
-
 /// Everything the trace says about one region, joined (when a report is
 /// given) with what the compiler decided about it.
 struct RegionTrace {
-  std::string name;              ///< "function:line" or "region N"
+  std::string name;              ///< "function:line"
   std::int64_t region_id = -1;   ///< args.region_id; -1 when absent
   std::uint64_t executions = 0;  ///< X events with cat "region"
   double wall_us = 0.0;          ///< summed duration of those events
   std::uint64_t chunk_events = 0;
+  /// Always 0: no runtime records steals. Kept for the perfbench
+  /// `region.steal_ratio` row, which reads it.
   std::uint64_t steals = 0;
-  std::map<std::int64_t, WorkerLoad> workers;  ///< tid -> load
+  /// Worker -> outer-loop chunks it claimed (the emitted-C counter).
+  std::map<std::int64_t, std::uint64_t> workers;
   // Joined from the report's scops[] entry (valid when in_report).
   bool in_report = false;
   bool parallelized = false;
@@ -66,12 +60,6 @@ struct MemoModelRow {
 
 struct TraceSummary {
   std::map<std::string, RegionTrace> regions;  ///< keyed by region name
-  double barrier_spin_us = 0.0;
-  double barrier_park_us = 0.0;
-  std::uint64_t barrier_spins = 0;
-  std::uint64_t barrier_parks = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
   std::uint64_t dropped = 0;  ///< summed args.dropped of overflow markers
   std::int64_t report_version = 0;  ///< 0 when no report was joined
   /// Memo cost-model scores joined from the report (v4+); empty when the
@@ -87,13 +75,9 @@ struct TraceSummary {
     const json::Value& trace, const json::Value* report,
     std::string* error = nullptr);
 
-/// max(worker busy) / mean(worker busy) over lanes with chunk time; falls
-/// back to chunk *counts* when the trace only has the emitted-C counter
-/// event. 1.0 = perfectly balanced; 0 when no per-worker data exists.
+/// max(worker chunks) / mean(worker chunks) over lanes that claimed any.
+/// 1.0 = perfectly balanced; 0 when no per-worker data exists.
 [[nodiscard]] double region_imbalance(const RegionTrace& region);
-
-/// steals / chunk claims (0 when no chunks were recorded).
-[[nodiscard]] double region_steal_ratio(const RegionTrace& region);
 
 /// The human rendering of one analysis (the `purecc trace` output).
 [[nodiscard]] std::string render_trace_summary(const TraceSummary& s);

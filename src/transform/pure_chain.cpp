@@ -419,98 +419,39 @@ void append_to_body(ForStmt& loop, StmtPtr extra) {
   }
 }
 
-/// One function's local pointers (purity/effects.h), and the access
-/// model's view of each: its one base and constant offset, or why it has
-/// none.
-struct LocalPointers {
-  PointerBaseMap bases;
+/// The access model's view of one function's local pointers
+/// (purity/effects.h): the bases each may point into, its constant
+/// offset when known, and where it is bound.
+[[nodiscard]] poly::PointerTargets local_pointers(
+    const FunctionDecl& fn, const FunctionScopeInfo& scope) {
   poly::PointerTargets targets;
-};
-
-[[nodiscard]] LocalPointers local_pointers(const FunctionDecl& fn,
-                                           const FunctionScopeInfo& scope) {
-  LocalPointers out{local_pointer_bases(fn, scope), {}};
-  for (const auto& [name, bases] : out.bases) {
-    poly::PointerTarget& target = out.targets[name];
-    if (!bases.unresolved && bases.bases.size() == 1 && bases.offset) {
-      target.base = *bases.bases.begin();
-      target.offset = *bases.offset;
-      continue;
+  for (const auto& [name, bases] : local_pointer_bases(fn, scope)) {
+    poly::PointerTarget& target = targets[name];
+    if (!bases.unresolved) {
+      target.bases = bases.bases;
+      target.offset = bases.offset;
     }
-    if (bases.unresolved) {
-      target.unknown = "may point anywhere";
-    } else if (bases.bases.size() > 1) {
-      target.unknown = "may point into";
-      for (const std::string& base : bases.bases) {
-        target.unknown += (base == *bases.bases.begin() ? " '" : " or '") +
-                          base + "'";
-      }
-    } else {
-      target.unknown = "moves by an offset that is not a constant";
-    }
-    if (bases.bound.line != 0) {
-      target.unknown +=
-          " (bound at line " + std::to_string(bases.bound.line) + ")";
-    }
+    target.line = bases.bound.line;
   }
-  return out;
+  return targets;
 }
 
-/// The Listing-5 rule through local pointers: a root written in the nest
-/// and a root passed to a pure call, of different names, that may share a
-/// base. A resolved local pointer stands for its bases; an unresolved one
-/// may share a base with any root. The dependence analysis cannot see
-/// what the call reads, so such a nest stays as written. Returns the
-/// located reason, or empty when the nest has no such pair. (The checker
-/// has already rejected every pair of equal names, §3.4.)
-[[nodiscard]] std::string alias_conflict(const NestRoots& roots,
-                                         const PointerBaseMap& pointers) {
-  const auto find = [&pointers](const std::string& root) {
-    const auto it = pointers.find(root);
-    return it == pointers.end() ? nullptr : &it->second;
-  };
-  for (const std::string& w : roots.writes) {
-    if (roots.call_args.count(w) != 0) continue;
-    const PointerBases* written = find(w);
-    for (const std::string& arg : roots.call_args) {
-      const PointerBases* passed = find(arg);
-      if (written == nullptr && passed == nullptr) continue;
-      const std::string& callee = roots.callees.at(arg);
-      // The local pointer the reason names, and the base they share.
-      std::string pointer;
-      std::string base;
-      if (written != nullptr && written->unresolved) {
-        pointer = w;
-      } else if (passed != nullptr && passed->unresolved) {
-        pointer = arg;
-      } else {
-        const std::set<std::string> from_write =
-            written != nullptr ? written->bases : std::set<std::string>{w};
-        const std::set<std::string> from_arg =
-            passed != nullptr ? passed->bases : std::set<std::string>{arg};
-        for (const std::string& b : from_write) {
-          if (from_arg.count(b) != 0) {
-            base = b;
-            break;
-          }
-        }
-        if (base.empty()) continue;
-        pointer = written != nullptr && w != base ? w : arg;
-      }
-      const std::uint32_t line = find(pointer)->bound.line;
-      const std::string bound =
-          line != 0 ? " (bound at line " + std::to_string(line) + ")" : "";
-      if (base.empty()) {
-        return "'" + w + "' is written and '" + arg +
-               "' is passed to pure function '" + callee +
-               "' in the same loop nest; local pointer '" + pointer +
-               "' may point anywhere" + bound +
-               ". Listing 5 rule through a local alias";
-      }
-      return "array '" + base + "' is written through '" + w +
-             "' and passed to pure function '" + callee + "' as '" + arg +
-             "' in the same loop nest; '" + pointer + "' points into it" +
-             bound + ". Listing 5 rule through a local alias";
+/// The first dependence that keeps a loop of the nest serial because a
+/// pure call reads what the nest writes, as a located reason; empty when
+/// there is none.
+[[nodiscard]] std::string serial_by_pure_call(
+    const poly::Scop& scop, const std::vector<poly::Dependence>& deps,
+    const std::vector<std::string>& privatized) {
+  for (const poly::Dependence& dep : deps) {
+    if (dep.carrier_loop == poly::Scop::npos || dep.is_reduction ||
+        std::find(privatized.begin(), privatized.end(), dep.array) !=
+            privatized.end()) {
+      continue;
+    }
+    const std::string read = poly::pure_call_read(scop, dep);
+    if (!read.empty()) {
+      return "loop '" + scop.iterators[dep.carrier_loop] +
+             "' carries a dependence: " + read;
     }
   }
   return {};
@@ -604,7 +545,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
   }
 
   // Before any nest is rewritten: the base map reads the whole body.
-  std::map<const FunctionDecl*, LocalPointers> pointers;
+  std::map<const FunctionDecl*, poly::PointerTargets> pointers;
   for (const ScopCandidate& candidate : purity.scop_loops) {
     const FunctionScopeInfo* scope = symbols.scope_for(*candidate.function);
     if (scope != nullptr && pointers.count(candidate.function) == 0) {
@@ -615,13 +556,7 @@ ChainArtifacts run_pure_chain(const std::string& source,
   const auto targets_of =
       [&pointers](const FunctionDecl* fn) -> const poly::PointerTargets* {
     const auto it = pointers.find(fn);
-    return it == pointers.end() ? nullptr : &it->second.targets;
-  };
-  const auto alias_conflict_in = [&pointers](const NestRoots& roots,
-                                             const FunctionDecl* fn) {
-    const auto it = pointers.find(fn);
-    return it == pointers.end() ? std::string()
-                                : alias_conflict(roots, it->second.bases);
+    return it == pointers.end() ? nullptr : &it->second;
   };
 
   mark_scops(tu, purity.scop_loops);
@@ -636,6 +571,19 @@ ChainArtifacts run_pure_chain(const std::string& source,
     auto* loop = const_cast<ForStmt*>(candidate.loop);
     all_substitutions.push_back(substitute_pure_calls(
         *loop, purity.pure_functions, placeholder_counter));
+  }
+  // What each placeholder's call reads, for the access model. The calls
+  // stay owned by `all_substitutions` until they are reinserted.
+  poly::PureCallReads call_reads;
+  for (const std::vector<SubstitutedCall>& calls : all_substitutions) {
+    for (const SubstitutedCall& call : calls) {
+      call_reads.calls.emplace(call.placeholder, call.original.get());
+    }
+  }
+  for (const auto& [name, fn] : artifacts.purity_trail.functions) {
+    if (fn.pure && !fn.call_reads.empty()) {
+      call_reads.global_reads.emplace(name, fn.call_reads);
+    }
   }
   artifacts.substituted = print_c(tu, PrintOptions{PureHandling::Keep, 2});
 
@@ -726,8 +674,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       // and its outer loop must stay parallel.
       std::size_t boundary = 0;
       {
-        poly::ExtractionResult r1 =
-            poly::extract_scop(*loop1, targets_of(first.function));
+        poly::ExtractionResult r1 = poly::extract_scop(
+            *loop1, targets_of(first.function), &call_reads);
         if (!r1.ok()) {
           reject("first nest no longer extracts: " + r1.failure_reason);
           continue;
@@ -741,8 +689,8 @@ ChainArtifacts run_pure_chain(const std::string& source,
       StmtPtr body2 = loop2->body ? loop2->body->clone() : nullptr;
       if (body2) rename_identifier(*body2, n2, n1);
       append_to_body(*trial_loop, std::move(body2));
-      poly::ExtractionResult fused =
-          poly::extract_scop(*trial_loop, targets_of(first.function));
+      poly::ExtractionResult fused = poly::extract_scop(
+          *trial_loop, targets_of(first.function), &call_reads);
       if (!fused.ok()) {
         reject("fused nest is not a SCoP: " + fused.failure_reason);
         continue;
@@ -753,43 +701,19 @@ ChainArtifacts run_pure_chain(const std::string& source,
         bool crossing = false;
         const poly::Dependence* blocker =
             poly::fusion_blocker(*fused.scop, deps, boundary, &crossing);
+        const std::string read =
+            blocker != nullptr ? poly::pure_call_read(*fused.scop, *blocker)
+                               : std::string();
+        const std::string why = read.empty() ? "" : ": " + read;
         if (blocker != nullptr && crossing) {
           reject("fusion-preventing dependence on '" + blocker->array +
-                 "'");
+                 "'" + why);
         } else if (blocker != nullptr) {
           reject("a loop is already serial (dependence on '" +
-                 blocker->array + "')");
+                 blocker->array + "'" + why + ")");
         } else {
           reject("fused outer loop is not parallel");
         }
-        continue;
-      }
-
-      // The dependence analysis does not see what a pure call reads
-      // through its pointer arguments, so the fused body must pass the
-      // Listing-5 rule the scop scan applied to each nest on its own:
-      // reading `b` through `g(b)` in the iteration that precedes the
-      // other nest's write of `b` would reorder a read after a write.
-      NestRoots fused_roots = first.roots;
-      fused_roots.merge(second.roots);
-      const std::vector<Listing5Conflict> conflicts =
-          listing5_conflicts(fused_roots);
-      if (!conflicts.empty()) {
-        const Listing5Conflict& c = conflicts.front();
-        reject(c.implicit_global
-                   ? "global '" + c.name +
-                         "' is read by an inferred-pure function called in "
-                         "one nest and written in the other (Listing 5 "
-                         "rule, inference provenance)"
-                   : "array '" + c.name +
-                         "' is passed to a pure function in one nest and "
-                         "written in the other (Listing 5 rule)");
-        continue;
-      }
-      const std::string alias =
-          alias_conflict_in(fused_roots, first.function);
-      if (!alias.empty()) {
-        reject(alias);
         continue;
       }
 
@@ -806,8 +730,6 @@ ChainArtifacts run_pure_chain(const std::string& source,
       }
       all_substitutions.erase(all_substitutions.begin() +
                               static_cast<std::ptrdiff_t>(i + 1));
-      // A third sibling is checked against both nests.
-      scop_candidates[i].roots = std::move(fused_roots);
       fused_counts[i] += 1 + fused_counts[i + 1];
       fused_counts.erase(fused_counts.begin() +
                          static_cast<std::ptrdiff_t>(i + 1));
@@ -842,23 +764,16 @@ ChainArtifacts run_pure_chain(const std::string& source,
       artifacts.scops.push_back(report);
     };
 
-    // The pure call may read what the nest writes through an alias, and
-    // no dependence shows that: keep the nest as written.
-    report.failure_reason =
-        alias_conflict_in(candidate.roots, candidate.function);
-    if (!report.failure_reason.empty()) {
-      report.failure_loc = candidate.loop->loc;
-      undo();
-      continue;
-    }
-
     poly::IteratorSubstitution iter_subst;
     StmtPtr generated;
     std::vector<std::string> scop_iterators;
     bool region = false;
+    // Set when the nest stays serial because a pure call reads what it
+    // writes: the nest is then left as written, with this reason.
+    std::string read_by_call;
     try {
-      poly::ExtractionResult extraction =
-          poly::extract_scop(*loop, targets_of(candidate.function));
+      poly::ExtractionResult extraction = poly::extract_scop(
+          *loop, targets_of(candidate.function), &call_reads);
       if (!extraction.ok()) {
         report.failure_reason = extraction.failure_reason;
         report.failure_loc = extraction.failure_loc;
@@ -1052,11 +967,22 @@ ChainArtifacts run_pure_chain(const std::string& source,
           }
         }
       }
+      if (options.parallelize && !report.parallelized) {
+        read_by_call = serial_by_pure_call(scop, deps, privatizable);
+      }
     } catch (const ArithmeticOverflow&) {
       // Exact analysis would overflow int64 (gigantic bounds or
       // coefficients). The safe answer is "don't transform".
       report.failure_reason = "analysis overflow (bounds too large)";
       report.failure_loc = loop->loc;
+      undo();
+      continue;
+    }
+    if (!read_by_call.empty()) {
+      report.failure_reason = std::move(read_by_call);
+      report.failure_loc = loop->loc;
+      report.tiled = false;
+      report.skewed = false;
       undo();
       continue;
     }

@@ -12,8 +12,8 @@
 //      located failure reason, memoization and inliner sections.
 //   3. Renderer: render_report_text over the same structure reproduces
 //      the classic --report lines.
-//   4. Fusion: pairs that break the Listing-5 rule across two nests are
-//      recorded as rejected, with the rule as the reason.
+//   4. Fusion: pairs where one nest writes what a pure call in the other
+//      reads are recorded as rejected, with that dependence as the reason.
 //   5. Alias: Listing 6 stays serial with a located reason.
 #include "transform/chain_report.h"
 
@@ -297,20 +297,20 @@ std::vector<std::pair<bool, std::string>> fusion_trail(
 TEST(ChainReportFusion, PureCallReaderOfAWrittenArrayIsNotFused) {
   // The writer nest and the nest that reads the array only through a
   // pure call (a pointer argument, or a global an inferred-pure callee
-  // reads) must stay apart, and the report must say which rule kept
-  // them apart.
+  // reads) must stay apart, and the report must name the dependence
+  // that kept them apart.
   const std::vector<Fixture> all = e2e::all_fixtures();
   for (const auto& [name, reason] :
        {std::pair{"pure_reader_after_writer",
-                  "array 'b' is passed to a pure function in one nest and "
-                  "written in the other (Listing 5 rule)"},
+                  "fusion-preventing dependence on 'b': pure function 'g' "
+                  "reads 'b', which is written in the same loop nest"},
         std::pair{"matmul_row_setup",
-                  "array 'A' is passed to a pure function in one nest and "
-                  "written in the other (Listing 5 rule)"},
+                  "fusion-preventing dependence on 'A': pure function "
+                  "'dot' reads 'A', which is written in the same loop nest"},
         std::pair{"global_reader_after_writer",
-                  "global 'gain' is read by an inferred-pure function "
-                  "called in one nest and written in the other (Listing 5 "
-                  "rule, inference provenance)"}}) {
+                  "fusion-preventing dependence on 'gain': pure function "
+                  "'weigh' reads 'gain', which is written in the same loop "
+                  "nest"}}) {
     SCOPED_TRACE(name);
     const Fixture* fixture = find_fixture(all, name);
     ASSERT_NE(fixture, nullptr);
@@ -351,13 +351,13 @@ TEST(ChainReportFusion, AThirdSiblingIsCheckedAgainstBothFusedNests) {
   EXPECT_TRUE(trail[0].first) << trail[0].second;
   EXPECT_FALSE(trail[1].first);
   EXPECT_EQ(trail[1].second,
-            "array 'b' is passed to a pure function in one nest and written "
-            "in the other (Listing 5 rule)");
+            "fusion-preventing dependence on 'b': pure function 'g' reads "
+            "'b', which is written in the same loop nest");
 }
 
 TEST(ChainReportFusion, AWriteThroughAnAliasOfAPureCallArgumentIsNotFused) {
   // The first nest writes b through the local alias p; the second passes
-  // b to a pure call. Merged, the roots conflict through the alias.
+  // b to a pure call, which reads what the alias wrote.
   const char* source =
       "pure int g(pure int* b, int k) {\n"
       "  return b[k];\n"
@@ -376,9 +376,9 @@ TEST(ChainReportFusion, AWriteThroughAnAliasOfAPureCallArgumentIsNotFused) {
   ASSERT_EQ(trail.size(), 1u);
   EXPECT_FALSE(trail[0].first);
   EXPECT_EQ(trail[0].second,
-            "array 'b' is written through 'p' and passed to pure function "
-            "'g' as 'b' in the same loop nest; 'p' points into it (bound "
-            "at line 5). Listing 5 rule through a local alias");
+            "fusion-preventing dependence on 'b': pure function 'g' reads "
+            "'b', which is written through local pointer 'p' (bound at line "
+            "5) in the same loop nest");
 }
 
 // -- Listing 6: the alias of a pure-call argument ---------------------------
@@ -398,7 +398,9 @@ TEST(ChainReportAlias, Listing6StaysSerialWithALocatedReason) {
   ASSERT_TRUE(artifacts.ok) << artifacts.diagnostics.format();
   json::Value report = build_chain_report(artifacts, options);
   json::Value scop = main_scop(report);
-  EXPECT_FALSE(scop.find("extracted")->as_bool());
+  // The nest extracts; the dependence on what func reads keeps it serial.
+  EXPECT_TRUE(scop.find("extracted")->as_bool());
+  EXPECT_FALSE(scop.find("transformed")->as_bool());
   EXPECT_FALSE(scop.find("parallelized")->as_bool());
   const json::Value* failure = scop.find("failure");
   ASSERT_NE(failure, nullptr);

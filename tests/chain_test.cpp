@@ -490,6 +490,81 @@ TEST(Chain, CrossingDependenceBlocksFusionWithReason) {
   EXPECT_EQ(a.scops[0].fused_loops, 0u);
 }
 
+TEST(Chain, FissionKeepsAPureCallWithTheArrayItReadsThroughAnAlias) {
+  // g reads b through the local alias p: the write of b and the call
+  // carry dependences both ways, so they share one serial loop, while
+  // the independent x[i] statement splits off into a parallel loop.
+  ChainArtifacts a = run_pure_chain(
+      "pure int g(pure int* a, int k) { return a[k]; }\n"
+      "void k(int* x, int* y) {\n"
+      "  int b[100];\n"
+      "  int* p = b;\n"
+      "  for (int i = 0; i < 100; i++) {\n"
+      "    b[i] = i;\n"
+      "    y[i] = g(p, 99 - i);\n"
+      "    x[i] = 2 * i;\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  ASSERT_EQ(a.scops.size(), 1u);
+  const ScopReport& r = a.scops[0];
+  EXPECT_TRUE(r.fissioned) << r.failure_reason;
+  EXPECT_EQ(r.fission_groups, 2u);
+  EXPECT_EQ(r.fission_parallel_groups, 1u);
+  const std::size_t pragma = a.final_source.find("#pragma omp parallel for");
+  ASSERT_NE(pragma, std::string::npos) << a.final_source;
+  const std::size_t write = a.final_source.find("b[i] = i;");
+  const std::size_t call = a.final_source.find("y[i] = g(p, 99 - i);");
+  const std::size_t split = a.final_source.find("x[i] = 2 * i;");
+  ASSERT_NE(write, std::string::npos) << a.final_source;
+  ASSERT_NE(call, std::string::npos) << a.final_source;
+  // The writer and the reader sit in one loop, with no pragma between
+  // them; the pragma heads the loop of the independent statement.
+  EXPECT_FALSE(write < pragma && pragma < call) << a.final_source;
+  EXPECT_TRUE(pragma < split && (pragma > call || pragma < write))
+      << a.final_source;
+}
+
+TEST(Chain, AScalarAPureCallReadsBeforeItIsWrittenIsNotPrivatized) {
+  // Each iteration's call reads the t the previous iteration wrote, so
+  // t carries a value across iterations: a private(t) would hand the
+  // call an uninitialized copy. Written before the call reads it, t is
+  // privatized as usual.
+  const char* carried =
+      "pure int f(int v) { return v * 7 + 3; }\n"
+      "void k(int* x) {\n"
+      "  int t = 5;\n"
+      "  for (int i = 0; i < 100; i++) {\n"
+      "    x[i] = f(t) % 1000 + i;\n"
+      "    t = x[i];\n"
+      "  }\n"
+      "}\n";
+  ChainArtifacts a = run_pure_chain(carried);
+  ASSERT_TRUE(a.ok) << a.diagnostics.format();
+  ASSERT_EQ(a.scops.size(), 1u);
+  EXPECT_TRUE(a.scops[0].privatized.empty());
+  EXPECT_FALSE(a.scops[0].parallelized);
+  EXPECT_EQ(a.scops[0].failure_reason,
+            "loop 'i' carries a dependence: pure function 'f' reads 't', "
+            "which is written in the same loop nest");
+  EXPECT_EQ(a.final_source.find("#pragma omp"), std::string::npos)
+      << a.final_source;
+
+  ChainArtifacts b = run_pure_chain(
+      "pure int f(int v) { return v * 7 + 3; }\n"
+      "void k(int* x, int* y) {\n"
+      "  int t;\n"
+      "  for (int i = 0; i < 100; i++) {\n"
+      "    t = y[i];\n"
+      "    x[i] = f(t) % 1000 + i;\n"
+      "  }\n"
+      "}\n");
+  ASSERT_TRUE(b.ok) << b.diagnostics.format();
+  ASSERT_EQ(b.scops.size(), 1u);
+  EXPECT_TRUE(b.scops[0].parallelized) << b.scops[0].failure_reason;
+  EXPECT_EQ(b.scops[0].privatized, std::vector<std::string>{"t"});
+}
+
 TEST(Chain, WrittenBeforeReadScalarIsPrivatized) {
   // `t` is written before read on every iteration and dead after the
   // nest, so the pragma privatizes it instead of serializing.

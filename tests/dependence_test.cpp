@@ -14,7 +14,8 @@ struct Extracted {
 };
 
 Extracted analyze(const std::string& src, const std::string& fn_name = "k",
-                  const PointerTargets* pointers = nullptr) {
+                  const PointerTargets* pointers = nullptr,
+                  const PureCallReads* calls = nullptr) {
   Extracted out;
   SourceBuffer buf = SourceBuffer::from_string(src);
   DiagnosticEngine diags;
@@ -28,7 +29,7 @@ Extracted analyze(const std::string& src, const std::string& fn_name = "k",
       break;
     }
   }
-  ExtractionResult r = extract_scop(*loop, pointers);
+  ExtractionResult r = extract_scop(*loop, pointers, calls);
   EXPECT_TRUE(r.ok()) << r.failure_reason;
   if (!r.ok()) return out;
   out.scop = std::move(*r.scop);
@@ -65,7 +66,7 @@ TEST(Dependence, AWriteThroughALocalAliasMeetsReadsOfItsBase) {
       "    alias[i] = array[i - 1] + array[i];\n"
       "}\n";
   EXPECT_FALSE(has_carried(analyze(src).deps, 1));  // two unrelated names
-  const PointerTargets pointers = {{"alias", {"array", 0, ""}}};
+  const PointerTargets pointers = {{"alias", {{"array"}, 0, 3}}};
   const auto r = analyze(src, "k", &pointers);
   EXPECT_TRUE(has_carried(r.deps, 1));
 }
@@ -80,13 +81,49 @@ TEST(Dependence, APointerOffsetShiftsTheSubscript) {
       "  for (int i = 0; i < 98; i++)\n"
       "    shifted[i] = array[i + 2];\n"
       "}\n";
-  const PointerTargets pointers = {{"shifted", {"array", 1, ""}}};
+  const PointerTargets pointers = {{"shifted", {{"array"}, 1, 3}}};
   const auto r = analyze(src, "k", &pointers);
   ASSERT_EQ(r.scop.statements.size(), 1u);
   const Access& write = r.scop.statements[0].accesses[0];
   EXPECT_EQ(write.array, "array");
   EXPECT_EQ(write.subscripts[0].constant, 1);
   EXPECT_TRUE(has_carried(r.deps, 1));
+}
+
+TEST(Dependence, APureCallReadMeetsEveryElementOfItsBase) {
+  // Listing 6 after substitution: `func(alias, i)` reads any element of
+  // `array` through the alias, so the write of array[i] meets it in
+  // every other iteration, at any rank.
+  const char* src =
+      "void k(void) {\n"
+      "  int array[100];\n"
+      "  int* alias = array;\n"
+      "  for (int i = 1; i < 100; i++)\n"
+      "    array[i] = tmpConst_func_0;\n"
+      "}\n"
+      "int probe(int* alias, int i) { return func(alias, i); }\n";
+  SourceBuffer buf = SourceBuffer::from_string(src);
+  DiagnosticEngine diags;
+  const TranslationUnit tu = parse(buf, diags);
+  const auto* ret = stmt_cast<ReturnStmt>(
+      tu.find_function("probe")->body->stmts[0].get());
+  ASSERT_NE(ret, nullptr);
+  PureCallReads calls;
+  calls.calls.emplace("tmpConst_func_0", ret->value.get());
+  EXPECT_FALSE(has_carried(analyze(src, "k").deps, 1));  // blind
+  const PointerTargets pointers = {{"alias", {{"array"}, 0, 3}}};
+  const auto r = analyze(src, "k", &pointers, &calls);
+  ASSERT_TRUE(has_carried(r.deps, 1));
+  std::string reason;
+  for (const Dependence& d : r.deps) {
+    if (d.loop_carried(1) && reason.empty()) {
+      reason = pure_call_read(r.scop, d);
+    }
+  }
+  EXPECT_EQ(reason,
+            "pure function 'func' reads 'array' through local pointer "
+            "'alias' (bound at line 3), which is written in the same loop "
+            "nest");
 }
 
 TEST(Dependence, StreamCopyIsIndependent) {

@@ -1033,11 +1033,10 @@ int main() {
 )";
 
 // Sibling nests where the first writes an array and the second only
-// passes it to a pure call. The dependence analysis does not see what the
-// call reads through its pointer argument, so fusing the pair would read
-// b[99 - i] before the fused loop has written it; the chain must keep the
-// loops apart (Listing-5 rule across the pair). A wrong fusion returns a
-// different checksum even at one thread.
+// passes it to a pure call, which reads any element of it. Fusing the
+// pair would read b[99 - i] before the fused loop has written it; the
+// dependence on what the call reads keeps the loops apart. A wrong
+// fusion returns a different checksum even at one thread.
 inline constexpr const char* kRunPureReaderAfterWriter = R"(
 #include <stdio.h>
 
@@ -1119,9 +1118,9 @@ int main() {
 )";
 
 // The keyword-free twin under --infer-pure: the reader nest never names
-// `gain`, the inferred-pure weigh() reads it as a global. Inference
-// provenance makes that read part of the Listing-5 rule, so the nests
-// must stay apart here too.
+// `gain`, the inferred-pure weigh() reads it as a global. The access
+// model reads the globals a pure call reads, so the nests must stay
+// apart here too.
 inline constexpr const char* kRunGlobalReaderAfterWriter = R"(
 #include <stdio.h>
 
@@ -1192,6 +1191,76 @@ int main() {
     for (int j = 0; j < n; j++)
       checksum += (double)C[i][j] * ((i + 2 * j) % 3 + 1);
   printf("checksum %.6f\n", checksum);
+  return 0;
+}
+)";
+
+// What a pure call reads, seen by the access model. Each of the next three
+// nests must run serially, in source order. A model blind to what the
+// call reads splits the first by fission (the call then reads the final
+// t), privatizes t in the second (each iteration reads an uninitialized
+// copy) and splits the third (shade() reads the final gain): each prints
+// a wrong checksum even at one thread.
+inline constexpr const char* kRunCallReadsScalarFission = R"(
+#include <stdio.h>
+
+pure int f(int v) {
+  return v * 3 + 1;
+}
+
+int main() {
+  int x[100];
+  int t = 7;
+  for (int i = 0; i < 100; i++) {
+    x[i] = f(t);
+    t = i;
+  }
+  long checksum = t;
+  for (int i = 0; i < 100; i++) checksum += (long)x[i] * (i % 5 + 1);
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
+inline constexpr const char* kRunCallReadsScalarPrivate = R"(
+#include <stdio.h>
+
+pure int f(int v) {
+  return v * 7 + 3;
+}
+
+int main() {
+  int x[100];
+  int t = 5;
+  for (int i = 0; i < 100; i++) {
+    x[i] = f(t) % 1000 + i;
+    t = x[i];
+  }
+  long checksum = 0;
+  for (int i = 0; i < 100; i++) checksum += (long)x[i] * (i % 5 + 1);
+  printf("checksum %ld\n", checksum);
+  return 0;
+}
+)";
+
+inline constexpr const char* kRunDeclaredGlobalReader = R"(
+#include <stdio.h>
+
+int gain = 1;
+
+pure int shade(int v) {
+  return v * gain;
+}
+
+int main() {
+  int out[100];
+  for (int i = 0; i < 100; i++) {
+    out[i] = shade(i);
+    gain = i % 4 + 1;
+  }
+  long checksum = 0;
+  for (int i = 0; i < 100; i++) checksum += (long)out[i] * (i % 5 + 1);
+  printf("checksum %ld\n", checksum);
   return 0;
 }
 )";
@@ -1280,6 +1349,13 @@ inline std::vector<Fixture> all_fixtures() {
        true, true},
       {"global_reader_after_writer", kRunGlobalReaderAfterWriter, false,
        kRunGlobalReaderAfterWriter, true, true, /*infer=*/true},
+      // A pure call that reads a scalar or a global its nest writes.
+      {"call_reads_scalar_fission", kRunCallReadsScalarFission, false,
+       kRunCallReadsScalarFission, true, true},
+      {"call_reads_scalar_private", kRunCallReadsScalarPrivate, false,
+       kRunCallReadsScalarPrivate, true, true},
+      {"declared_global_reader", kRunDeclaredGlobalReader, false,
+       kRunDeclaredGlobalReader, true, true},
       {"matmul_plain", testsrc::kMatmulPlain, false, kRunMatmulPlain, true,
        true, /*infer=*/true},
       {"heat_plain", testsrc::kHeatPlain, false, kRunHeatPlain, true, true,

@@ -1,0 +1,35 @@
+#include <stdio.h>
+#include <omp.h>
+#ifndef PUREC_POLY_HELPERS
+#define PUREC_POLY_HELPERS
+#define floord(n, d) (((n) < 0) ? -((-(n) + (d) - 1) / (d)) : (n) / (d))
+#define ceild(n, d) floord((n) + (d) - 1, (d))
+#define purec_max(a, b) (((a) > (b)) ? (a) : (b))
+#define purec_min(a, b) (((a) < (b)) ? (a) : (b))
+#endif
+int f(int v)
+{
+  return v * 7 + 3;
+}
+int main()
+{
+  int x[100];
+  int t = 5;
+  {
+    for (int t1 = 0; t1 <= 99; t1++)
+    {
+      x[t1] = (t * 7 + 3) % 1000 + t1;
+      t = x[t1];
+    }
+  }
+  long checksum = 0;
+  {
+#pragma omp parallel for reduction(+:checksum)
+    for (int t1 = 0; t1 <= 99; t1++)
+    {
+      checksum += (long)x[t1] * (t1 % 5 + 1);
+    }
+  }
+  printf("checksum %ld\n", checksum);
+  return 0;
+}

@@ -9,7 +9,7 @@
 #define purec_min(a, b) (((a) < (b)) ? (a) : (b))
 #endif
 /* purec-rt:stats fnv64=6eb42b62d8c6f3ec */
-/* purec-rt:memo fnv64=067d8f3d6f5dc157 */
+/* purec-rt:memo fnv64=5fd6963f2d58328a */
 /* purec-rt:memo_program fnv64=acc5b559c19d6c28 */
 static float purec_memo_shade(int purec_a0);
 float gain;

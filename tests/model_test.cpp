@@ -33,7 +33,7 @@ ExtractionResult extract_from(const std::string& src,
 
 TEST(ScopExtraction, AnUnresolvedLocalPointerKeepsTheNestOut) {
   const PointerTargets pointers = {
-      {"p", {"", 0, "may point into 'a' or 'b' (bound at line 2)"}}};
+      {"p", {{"a", "b"}, std::nullopt, 2}}};
   auto r = extract_from(
       "void k(int* a, int* b, int n) {\n"
       "  int* p = a;\n"
@@ -49,8 +49,35 @@ TEST(ScopExtraction, AnUnresolvedLocalPointerKeepsTheNestOut) {
   EXPECT_EQ(r.failure_loc.line, 5u);
 }
 
+TEST(ScopExtraction, APureCallOnAnUnresolvedLocalPointerKeepsTheNestOut) {
+  const char* src =
+      "void k(int* a, int n) {\n"
+      "  int* p = a;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    a[i] = tmpConst_f_0;\n"
+      "}\n"
+      "int probe(int* p, int i) { return f(p, i); }\n";
+  SourceBuffer buf = SourceBuffer::from_string(src);
+  DiagnosticEngine diags;
+  const TranslationUnit tu = parse(buf, diags);
+  const auto* ret =
+      stmt_cast<ReturnStmt>(tu.find_function("probe")->body->stmts[0].get());
+  ASSERT_NE(ret, nullptr);
+  PureCallReads calls;
+  calls.calls.emplace("tmpConst_f_0", ret->value.get());
+  const PointerTargets pointers = {{"p", {{}, std::nullopt, 2}}};
+  ExtractionResult r = extract_scop(
+      *stmt_cast<ForStmt>(tu.find_function("k")->body->stmts[1].get()),
+      &pointers, &calls);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.failure_reason,
+            "local pointer 'p' may point anywhere (bound at line 2), and "
+            "pure function 'f' reads through it");
+  EXPECT_EQ(r.failure_loc.line, 4u);
+}
+
 TEST(ScopExtraction, APointerIndexedAtAnotherRankThanItsBaseIsRejected) {
-  const PointerTargets pointers = {{"p", {"a", 0, ""}}};
+  const PointerTargets pointers = {{"p", {{"a"}, 0, 2}}};
   auto r = extract_from(
       "void k(float** a, int n) {\n"
       "  float** p = a;\n"

@@ -15,7 +15,8 @@ struct Analyzed {
 };
 
 Analyzed schedule_of(const std::string& src,
-                     const std::string& fn_name = "k") {
+                     const std::string& fn_name = "k",
+                     const PureCallReads* calls = nullptr) {
   Analyzed out;
   SourceBuffer buf = SourceBuffer::from_string(src);
   DiagnosticEngine diags;
@@ -29,7 +30,7 @@ Analyzed schedule_of(const std::string& src,
       break;
     }
   }
-  ExtractionResult r = extract_scop(*loop);
+  ExtractionResult r = extract_scop(*loop, nullptr, calls);
   EXPECT_TRUE(r.ok()) << r.failure_reason;
   out.scop = std::move(*r.scop);
   out.deps = analyze_dependences(out.scop);
@@ -90,6 +91,53 @@ TEST(Schedule, SkewRowsWeaklySatisfyAllDeps) {
           << "row " << row << " violates " << dep.to_string(a.scop);
     }
   }
+}
+
+TEST(Schedule, TimeStencilOriginalAxesAreNotPermutable) {
+  // Fig. 2's invalid tiling: some carried dependence runs backwards
+  // along one of the untransformed axes.
+  auto a = schedule_of(
+      "void k(float* a, int steps, int n) {\n"
+      "  for (int t = 0; t < steps; t++)\n"
+      "    for (int i = 1; i < n - 1; i++)\n"
+      "      a[i] = 0.33f * (a[i - 1] + a[i] + a[i + 1]);\n"
+      "}\n");
+  bool permutable = true;
+  for (const Dependence& dep : a.deps) {
+    if (!dep.loop_carried(2)) continue;
+    permutable = permutable && weakly_satisfies({1, 0}, dep, 2) &&
+                 weakly_satisfies({0, 1}, dep, 2);
+  }
+  EXPECT_FALSE(permutable);
+}
+
+TEST(Schedule, APureCallReadIsNeitherSkewedNorTiled) {
+  // Fig. 2's stencil with its reads inside a pure call, as substitution
+  // leaves it (§3.3). Blind to what the call reads, the model sees only
+  // writes and offers a tilable band; with the reads, any element of
+  // `a` may be read, which no skew makes permutable.
+  const char* src =
+      "void k(float* a, int steps, int n) {\n"
+      "  for (int t = 0; t < steps; t++)\n"
+      "    for (int i = 1; i < n - 1; i++)\n"
+      "      a[i] = tmpConst_stencil_0;\n"
+      "}\n";
+  const Analyzed blind = schedule_of(src);
+  EXPECT_EQ(blind.transform.band_size, 2u);
+
+  SourceBuffer buf = SourceBuffer::from_string(
+      "float probe(float* a, int i) { return stencil(a, i); }\n");
+  DiagnosticEngine diags;
+  const TranslationUnit probe = parse(buf, diags);
+  const auto* ret = stmt_cast<ReturnStmt>(
+      probe.find_function("probe")->body->stmts[0].get());
+  ASSERT_NE(ret, nullptr);
+  PureCallReads calls;
+  calls.calls.emplace("tmpConst_stencil_0", ret->value.get());
+  const Analyzed a = schedule_of(src, "k", &calls);
+  EXPECT_TRUE(a.transform.is_identity());
+  EXPECT_LT(a.transform.band_size, 2u);
+  EXPECT_FALSE(a.transform.any_parallel());
 }
 
 TEST(Schedule, InnerParallelismDetectedWithoutSkew) {

@@ -76,28 +76,15 @@ TEST(JsonParse, RejectsPathologicalNesting) {
 // analyze_trace
 // ---------------------------------------------------------------------------
 
-// A mixed two-runtime trace: emitted-C region on pid 1 (X + C counter
-// events), runtime chunk/steal/barrier/memo events on pid 2 that carry
-// only the region_id, plus an overflow marker.
-const char* kMixedTrace = R"json([
+// What an --instrument run writes: a region event and its per-worker
+// chunk counter, plus an overflow marker.
+const char* kTrace = R"json([
   {"name":"process_name","ph":"M","pid":1,"args":{"name":"purec-instr"}},
   {"name":"heat:12","cat":"region","ph":"X","pid":1,"tid":1,
    "ts":0.0,"dur":2000.0,"args":{"region_id":0}},
   {"name":"heat:12 chunks","cat":"chunk","ph":"C","pid":1,"tid":1,
    "ts":2000.0,"args":{"region_id":0,"w0":3,"w1":1}},
-  {"name":"chunk","cat":"chunk","ph":"X","pid":2,"tid":0,
-   "ts":100.0,"dur":300.0,"args":{"region_id":0}},
-  {"name":"chunk","cat":"chunk","ph":"X","pid":2,"tid":1,
-   "ts":100.0,"dur":100.0,"args":{"region_id":0}},
-  {"name":"steal","cat":"steal","ph":"i","pid":2,"tid":1,"ts":150.0,
-   "s":"t","args":{"region_id":0,"victim":0}},
-  {"name":"barrier_park","cat":"barrier","ph":"X","pid":2,"tid":2,
-   "ts":0.0,"dur":500.0,"args":{}},
-  {"name":"memo_hit","cat":"memo","ph":"X","pid":2,"tid":0,
-   "ts":10.0,"dur":1.0,"args":{}},
-  {"name":"memo_miss","cat":"memo","ph":"X","pid":2,"tid":0,
-   "ts":20.0,"dur":2.0,"args":{}},
-  {"name":"purec: trace ring overflow","ph":"i","pid":2,"tid":0,
+  {"name":"purec: trace ring overflow","ph":"i","pid":1,"tid":1,
    "ts":999.0,"s":"g","args":{"dropped":5}}
 ])json";
 
@@ -113,31 +100,23 @@ const char* kReportV3 = R"json({
   }]
 })json";
 
-TEST(AnalyzeTrace, MergesBothRuntimesIntoOneRegionRow) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+TEST(AnalyzeTrace, AggregatesARegionAndItsChunkCounter) {
+  const json::Value trace = parse_or_die(kTrace);
   std::string error;
   const auto summary = analyze_trace(trace, nullptr, &error);
   ASSERT_TRUE(summary.has_value()) << error;
-  // The pid-2 chunk/steal rows (known only as "region 0") must fold into
-  // the named pid-1 row sharing the region id.
   ASSERT_EQ(summary->regions.size(), 1u);
   const RegionTrace& region = summary->regions.begin()->second;
   EXPECT_EQ(region.name, "heat:12");
   EXPECT_EQ(region.region_id, 0);
   EXPECT_EQ(region.executions, 1u);
   EXPECT_DOUBLE_EQ(region.wall_us, 2000.0);
-  // 2 pid-2 chunk events + 4 counted in the emitted-C C event.
-  EXPECT_EQ(region.chunk_events, 6u);
-  EXPECT_EQ(region.steals, 1u);
-  EXPECT_EQ(summary->barrier_parks, 1u);
-  EXPECT_DOUBLE_EQ(summary->barrier_park_us, 500.0);
-  EXPECT_EQ(summary->memo_hits, 1u);
-  EXPECT_EQ(summary->memo_misses, 1u);
+  EXPECT_EQ(region.chunk_events, 4u);
   EXPECT_EQ(summary->dropped, 5u);
 }
 
 TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value trace = parse_or_die(kTrace);
   const json::Value report = parse_or_die(kReportV3);
   const auto summary = analyze_trace(trace, &report);
   ASSERT_TRUE(summary.has_value());
@@ -149,7 +128,7 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
   const std::string text = render_trace_summary(*summary);
   EXPECT_NE(text.find("heat:12"), std::string::npos) << text;
   EXPECT_NE(text.find("schedule(dynamic, 16)"), std::string::npos) << text;
-  EXPECT_NE(text.find("steal_ratio="), std::string::npos) << text;
+  EXPECT_NE(text.find("chunks=4"), std::string::npos) << text;
   EXPECT_NE(text.find("dropped events=5"), std::string::npos) << text;
   // A v3 report states no collapse depth: the schedule line shows none.
   EXPECT_EQ(region.collapse, 1);
@@ -157,7 +136,7 @@ TEST(AnalyzeTrace, JoinsTheReportByRegionId) {
 }
 
 TEST(AnalyzeTrace, ShowsTheCollapseDepthOfAV5Report) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value trace = parse_or_die(kTrace);
   const json::Value report = parse_or_die(R"json({
     "report_version": 5,
     "scops": [{
@@ -181,7 +160,7 @@ TEST(AnalyzeTrace, ShowsTheCollapseDepthOfAV5Report) {
 }
 
 TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
-  const json::Value trace = parse_or_die(kMixedTrace);
+  const json::Value trace = parse_or_die(kTrace);
   const json::Value report = parse_or_die(R"json({
     "report_version": 4,
     "scops": [],
@@ -210,22 +189,13 @@ TEST(AnalyzeTrace, RendersTheMemoCostModelFromAV4Report) {
       << text;
 }
 
-TEST(AnalyzeTrace, ImbalanceAndStealRatioArithmetic) {
+TEST(AnalyzeTrace, ImbalanceArithmetic) {
   RegionTrace region;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 0.0);
-  EXPECT_DOUBLE_EQ(region_steal_ratio(region), 0.0);
-  // busy times 300 and 100: max / mean = 300 / 200 = 1.5.
-  region.workers[0] = {1, 300.0};
-  region.workers[1] = {1, 100.0};
+  // Chunk counts 3 and 1: max / mean = 3 / 2 = 1.5.
+  region.workers[0] = 3;
+  region.workers[1] = 1;
   EXPECT_DOUBLE_EQ(region_imbalance(region), 1.5);
-  // Count-only fallback (emitted-C counter event): 3 and 1 -> 1.5 too.
-  RegionTrace counts;
-  counts.workers[0] = {3, 0.0};
-  counts.workers[1] = {1, 0.0};
-  EXPECT_DOUBLE_EQ(region_imbalance(counts), 1.5);
-  region.chunk_events = 4;
-  region.steals = 1;
-  EXPECT_DOUBLE_EQ(region_steal_ratio(region), 0.25);
 }
 
 TEST(AnalyzeTrace, RejectsNonArrayInput) {
